@@ -53,11 +53,11 @@ def _write_quantile_diag_csv(path, records, n):
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in records:
-            row = [repr(r.t), repr(r.energy), repr(r.dissipation), repr(r.E_invariant)]
+            row = [repr(float(v)) for v in (r.t, r.energy, r.dissipation, r.E_invariant)]
             row += [repr(float(v)) for v in r.diam]
             row += [repr(float(v)) for v in r.supp_lo]
             row += [repr(float(v)) for v in r.supp_hi]
-            row.append("" if r.w2_to_ground is None else repr(r.w2_to_ground))
+            row.append("" if r.w2_to_ground is None else repr(float(r.w2_to_ground)))
             writer.writerow(row)
 
 
@@ -167,8 +167,10 @@ def _cmd_diagnose(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = parse_config(args.config, dt=args.dt, t_end=args.t_end, seed=args.seed)
     report = verify_mod.run_verification(cfg)
+    # Configs without quantile data run no integration; keep the configured step.
+    dt_used = report.dt if report.dt is not None else cfg.solver.dt
     payload = {"checks": report.checks, "all_passed": report.all_passed,
-               "manifest": manifest(cfg, "verify", dt_used=cfg.solver.dt)}
+               "manifest": manifest(cfg, "verify", dt_used=dt_used)}
     _print_json(payload, args.out)
     return 0 if report.all_passed else 3
 

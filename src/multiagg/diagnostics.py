@@ -2,7 +2,9 @@
 
 All quadratures use the same flat midpoint rule over the M equal-mass cells
 as the solver right-hand side, so a state is diagnosed as steady exactly when
-the solver would not move it.
+the solver would not move it.  Pairwise sums over quadratic entries are
+evaluated in closed form from species masses and moments (O(M) per pair);
+other entries are summed directly (O(M^2) per pair).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .convexity import SystemParams
 from .measures import QuantileState
-from .potentials import PotentialMatrix
+from .potentials import PotentialMatrix, Quadratic
 
 
 @dataclass
@@ -59,12 +61,16 @@ def energy(qs: QuantileState, pm: PotentialMatrix) -> float:
     for i in range(qs.n):
         for j in range(qs.n):
             pot = pm.entries[i][j]
+            if isinstance(pot, Quadratic):
+                total += pot.cloud_energy(u[i][:, None], np.full(M, p[i] / M),
+                                          u[j][:, None], np.full(M, p[j] / M))
+                continue
             block = 0.0
             for k0 in range(0, M, rows):
                 diff = u[i][k0:k0 + rows, None] - u[j][None, :]
                 block += float(np.asarray(pot.value(diff)).sum())
             total += p[i] * p[j] / (M * M) * block
-    return 0.5 * total
+    return float(0.5 * total)
 
 
 def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
@@ -80,6 +86,10 @@ def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
         for j in range(qs.n):
             pot = pm.entries[i][j]
             if pot.is_identically_zero():
+                continue
+            if isinstance(pot, Quadratic):
+                out[i] += pot.cloud_fields(u[i][:, None], np.full(M, p[i] / M),
+                                           u[j][:, None], np.full(M, p[j] / M))[0][:, 0]
                 continue
             for k0 in range(0, M, rows):
                 diff = u[i][k0:k0 + rows, None] - u[j][None, :]

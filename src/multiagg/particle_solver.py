@@ -7,8 +7,9 @@ Each particle moves with velocity
 where the kernel gradient is the radial profile W'(|z|) z / |z| (zero at the
 origin, the only continuous extension for an even C1 kernel).  For
 one-dimensional atomic data with equal cell masses this is the same finite
-ODE the quantile solver integrates.  Forces are computed by direct O(N^2)
-summation.
+ODE the quantile solver integrates.  Forces and energies of quadratic
+entries are evaluated in closed form from species masses and moments,
+O(N_i + N_j) per pair; every other entry is summed directly, O(N_i N_j).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .measures import ParticleState
-from .potentials import PotentialMatrix
+from .potentials import PotentialMatrix, Quadratic
 from .quantile_solver import SolverConfig
 
 
@@ -43,7 +44,8 @@ def _radial_grad(pot, diff: np.ndarray) -> np.ndarray:
 
 
 def _velocities(positions, masses, pm: PotentialMatrix, m: np.ndarray):
-    # Off-diagonal blocks are computed once; the reverse forces are the
+    # Quadratic blocks are summed in closed form by moments.  Other
+    # off-diagonal blocks are computed once; the reverse forces are the
     # negated transpose of the same array.
     n = len(positions)
     acc = [np.zeros_like(x) for x in positions]
@@ -51,6 +53,12 @@ def _velocities(positions, masses, pm: PotentialMatrix, m: np.ndarray):
         for j in range(i, n):
             pot = pm.entries[i][j]
             if pot.is_identically_zero():
+                continue
+            if isinstance(pot, Quadratic):
+                fi, fj = pot.cloud_fields(positions[i], masses[i], positions[j], masses[j])
+                acc[i] += fi
+                if j != i:
+                    acc[j] += fj
                 continue
             diff = positions[i][:, None, :] - positions[j][None, :, :]
             forces = _radial_grad(pot, diff)
@@ -84,6 +92,10 @@ def discrete_energy(ps: ParticleState, pm: PotentialMatrix) -> float:
     for i in range(ps.n):
         for j in range(ps.n):
             pot = pm.entries[i][j]
+            if isinstance(pot, Quadratic):
+                total += pot.cloud_energy(ps.positions[i], ps.masses[i],
+                                          ps.positions[j], ps.masses[j])
+                continue
             diff = ps.positions[i][:, None, :] - ps.positions[j][None, :, :]
             r = np.sqrt((diff * diff).sum(axis=-1))
             total += float(ps.masses[i] @ np.asarray(pot.value(r)) @ ps.masses[j])

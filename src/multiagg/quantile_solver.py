@@ -6,7 +6,9 @@ The state advances by
 
 the midpoint-quadrature discretization of the nonlocal velocity field; the
 quadrature is exact for atomic (equal-mass-cell) data, so such states evolve
-as exact particle solutions.  The double sum costs O(n^2 M^2) per evaluation.
+as exact particle solutions.  Quadratic entries are summed in closed form from
+each species' mass and mean, O(M) per pair; every other entry is summed
+directly, O(M^2) per pair.
 
 Explicit schemes only (forward Euler and classical RK4): the velocity field
 is bounded and Lipschitz on bounded states, so a step-size bound derived from
@@ -27,7 +29,7 @@ from . import diagnostics
 from .convexity import SystemParams, lambda0, lambda0_scalar
 from .errors import NumericsError
 from .measures import QuantileState
-from .potentials import PotentialMatrix, estimate_growth_bound
+from .potentials import PotentialMatrix, Quadratic, estimate_growth_bound
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -89,7 +91,8 @@ class Trajectory:
 
 
 def _velocity(u: np.ndarray, pm: PotentialMatrix, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Each off-diagonal block is computed once: the reverse interaction is the
+    # Quadratic blocks are summed in closed form by moments.  Every other
+    # off-diagonal block is computed once: the reverse interaction is the
     # negated transpose (bit-exactly, since the kernel derivative is odd), so
     # row sums feed species i and negated column sums feed species j.  Blocks
     # are processed in row tiles to keep temporaries cache-sized.
@@ -100,6 +103,13 @@ def _velocity(u: np.ndarray, pm: PotentialMatrix, m: np.ndarray, p: np.ndarray) 
         for j in range(i, n):
             pot = pm.entries[i][j]
             if pot.is_identically_zero():
+                continue
+            if isinstance(pot, Quadratic):
+                fi, fj = pot.cloud_fields(u[i][:, None], np.full(M, p[i] / M),
+                                          u[j][:, None], np.full(M, p[j] / M))
+                acc[i] -= fi[:, 0]
+                if j != i:
+                    acc[j] -= fj[:, 0]
                 continue
             others = u[j][None, :]
             colsum = np.zeros(M) if j != i else None

@@ -28,6 +28,7 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list
+    dt: float | None = None  # step of the quantile run, None when none was run
 
     @property
     def all_passed(self) -> bool:
@@ -75,7 +76,7 @@ def run_verification(cfg: ExperimentConfig) -> VerificationReport:
         checks.append(CheckResult("center_conservation", "fail",
                                   f"integration failed: {err} (witness {err.witness})"))
         checks.sort(key=lambda c: c.name)
-        return VerificationReport(checks)
+        return VerificationReport(checks, err.partial.dt if err.partial is not None else None)
 
     modulus = _modulus(cfg)
     checks.append(_center_conservation(cfg, traj))
@@ -87,7 +88,7 @@ def run_verification(cfg: ExperimentConfig) -> VerificationReport:
     checks.append(_ground_state(cfg, traj, modulus))
     checks.append(_gradient_consistency(cfg))
     checks.sort(key=lambda c: c.name)
-    return VerificationReport(checks)
+    return VerificationReport(checks, traj.dt)
 
 
 def _center_conservation(cfg, traj) -> CheckResult:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multiagg import cli
+from multiagg import cli, quantile_solver
 from multiagg.config import config_from_dict
 from multiagg.errors import ConfigError
 
@@ -306,6 +306,35 @@ def test_cli_verify_zero_potential_trivially_passes(tmp_path, capsys):
     assert statuses["center_conservation"] == "pass"
 
 
+def test_cli_verify_manifest_records_derived_dt(tmp_path, capsys):
+    raw = attractive_pair_config(t_end=0.2)
+    del raw["solver"]["dt"]
+    path = write(tmp_path, raw)
+    cli.main(["verify", "--config", path])
+    dt = json.loads(capsys.readouterr().out)["manifest"]["dt"]
+    cfg = config_from_dict(raw)
+    assert dt > 0.0
+    assert dt == quantile_solver.stable_dt(cfg.initial_quantile, cfg.potential,
+                                           cfg.solver.cfl_safety)
+
+
+@pytest.mark.parametrize("kind", [{"kind": "quadratic", "a": 1.0},
+                                  {"kind": "gaussian_ar", "ca": 1.0, "la": 1.0,
+                                   "cr": 0.5, "lr": 2.0}])
+def test_cli_simulate_diag_csv_is_plain_numbers(tmp_path, kind):
+    raw = attractive_pair_config(t_end=0.1)
+    raw["potential"]["entries"] = [[kind, kind], [kind, kind]]
+    raw["potential"]["kappa"] = [[0.0, 0.0], [0.0, 0.0]]
+    path = write(tmp_path, raw)
+    out = str(tmp_path / "traj.csv")
+    assert cli.main(["simulate", "--config", path, "--out", out]) == 0
+    rows = [line.split(",") for line in open(str(tmp_path / "traj.diag.csv")).read().splitlines()]
+    for row in rows[1:]:
+        for cell in row:
+            if cell:
+                float(cell)
+
+
 def test_cli_t_end_and_dt_overrides(tmp_path):
     path = write(tmp_path, attractive_pair_config())
     out = str(tmp_path / "t.csv")
@@ -335,6 +364,19 @@ def test_cli_verify_d2_particles_runs_gradient_check(tmp_path, capsys):
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses["gradient_consistency"] == "pass"
     assert statuses["center_conservation"] == "skipped"
+
+
+def test_cli_verify_d2_manifest_keeps_configured_dt(tmp_path, capsys):
+    raw = {
+        "params": {"m": [1.0], "p": [1.0], "d": 2},
+        "potential": {"entries": [[{"kind": "quadratic", "a": 1.0}]], "kappa": [[1.0]]},
+        "initial": {"type": "particles",
+                    "species": [{"x": [[0.0, 0.0], [1.0, 0.5]], "mass": [0.5, 0.5]}]},
+        "solver": {"dt": 0.02, "t_end": 0.1},
+    }
+    path = write(tmp_path, raw)
+    cli.main(["verify", "--config", path])
+    assert json.loads(capsys.readouterr().out)["manifest"]["dt"] == 0.02
 
 
 def test_cli_simulate_numeric_failure_exit_code(tmp_path, capsys):
