@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diagnostics, measures, quantile_solver, particle_solver, verify as verify_mod
 from .config import manifest, parse_config, write_manifest
-from .convexity import analyze_system, lambda0, lambda0_scalar
+from .convexity import analyze_system, modulus
 from .errors import ConfigError, NumericsError
 
 
@@ -77,6 +77,18 @@ def _diag_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".diag.csv"
 
 
+def _run_and_write(integrate, write) -> int:
+    """Write the trajectory of a run, or on a numeric failure its partial one before re-raising."""
+    try:
+        traj = integrate()
+    except NumericsError as err:
+        if err.partial is not None:
+            write(err.partial)
+        raise
+    write(traj)
+    return 0
+
+
 def _cmd_analyze(args) -> int:
     cfg = parse_config(args.config, dt=args.dt, t_end=args.t_end, seed=args.seed)
     report = analyze_system(cfg.potential, cfg.params)
@@ -89,21 +101,14 @@ def _cmd_simulate(args) -> int:
     if cfg.initial_quantile is None:
         raise ConfigError("initial: quantile simulation requires d=1 data "
                           "(use the particles subcommand)")
-    dt = cfg.solver.dt if cfg.solver.dt is not None else quantile_solver.stable_dt(
-        cfg.initial_quantile, cfg.potential, cfg.solver.cfl_safety)
-    try:
-        traj = quantile_solver.run(cfg.initial_quantile, cfg.potential, cfg.solver)
-    except NumericsError as err:
-        if err.partial is not None:
-            measures.write_quantile_csv(args.out, err.partial.times, err.partial.states)
-            _write_quantile_diag_csv(_diag_path(args.out), err.partial.records, cfg.params.n)
-            write_manifest(args.out, cfg, "simulate", dt)
-        print(f"numeric failure: {err} (witness {err.witness})", file=sys.stderr)
-        return 1
-    measures.write_quantile_csv(args.out, traj.times, traj.states)
-    _write_quantile_diag_csv(_diag_path(args.out), traj.records, cfg.params.n)
-    write_manifest(args.out, cfg, "simulate", traj.dt)
-    return 0
+
+    def write(traj):
+        measures.write_quantile_csv(args.out, traj.times, traj.states)
+        _write_quantile_diag_csv(_diag_path(args.out), traj.records, cfg.params.n)
+        write_manifest(args.out, cfg, "simulate", traj.dt)
+
+    return _run_and_write(lambda: quantile_solver.run(cfg.initial_quantile, cfg.potential,
+                                                      cfg.solver), write)
 
 
 def _cmd_particles(args) -> int:
@@ -111,52 +116,42 @@ def _cmd_particles(args) -> int:
     ps0 = cfg.initial_particles
     if ps0 is None:
         raise ConfigError("initial: no particle representation available")
-    dt = cfg.solver.dt if cfg.solver.dt is not None else particle_solver.stable_dt_particles(
-        ps0, cfg.potential, cfg.solver.cfl_safety)
-    try:
-        traj = particle_solver.run_particles(ps0, cfg.potential, cfg.solver)
-    except NumericsError as err:
-        if err.partial is not None:
-            measures.write_particle_csv(args.out, err.partial.times, err.partial.states)
-            _write_particle_diag_csv(_diag_path(args.out), err.partial, cfg.params)
-            write_manifest(args.out, cfg, "particles", dt)
-        print(f"numeric failure: {err} (witness {err.witness})", file=sys.stderr)
-        return 1
-    measures.write_particle_csv(args.out, traj.times, traj.states)
-    _write_particle_diag_csv(_diag_path(args.out), traj, cfg.params)
-    write_manifest(args.out, cfg, "particles", dt)
-    return 0
+
+    def write(traj):
+        measures.write_particle_csv(args.out, traj.times, traj.states)
+        _write_particle_diag_csv(_diag_path(args.out), traj, cfg.params)
+        write_manifest(args.out, cfg, "particles", traj.dt)
+
+    return _run_and_write(lambda: particle_solver.run_particles(ps0, cfg.potential, cfg.solver),
+                          write)
 
 
 def _cmd_diagnose(args) -> int:
     cfg = parse_config(args.config)
-    times, states = measures.read_quantile_csv(args.traj, cfg.params)
-    if cfg.params.n > 1:
-        modulus = lambda0(cfg.potential.kappa, cfg.params).lambda0
-    else:
-        modulus = lambda0_scalar(float(cfg.potential.kappa[0, 0]), cfg.params)
-    ground = diagnostics.ground_state(cfg.params, states[0].M) if modulus > 0.0 else None
+    try:
+        times, states = measures.read_quantile_csv(args.traj, cfg.params)
+    except ValueError as err:
+        raise ConfigError(f"traj: {err}") from err
+    rate = modulus(cfg.potential.kappa, cfg.params)
+    ground = diagnostics.ground_state(cfg.params, states[0].M) if rate > 0.0 else None
     records = [diagnostics.record(qs, cfg.potential, t, ground)
                for t, qs in zip(times, states)]
 
-    fits = []
     t_arr = np.array(times)
     window = (float(t_arr[0] + 0.1 * (t_arr[-1] - t_arr[0])), float(t_arr[-1]))
+    in_window = t_arr >= window[0]
     s = cfg.potential.kappa @ cfg.params.p
-    for i in range(cfg.params.n):
-        if s[i] <= 0.0:
-            continue
-        diam = np.array([r.diam[i] for r in records])
-        if np.any(diam[t_arr >= window[0]] <= 0.0):
-            continue
-        fits.append(diagnostics.fit_decay_rate(
-            t_arr, diam, window, predicted_rate=float(cfg.params.m[i] * s[i]),
-            quantity=f"diam_supp_{i + 1}"))
+    series = [(f"diam_supp_{i + 1}", [r.diam[i] for r in records], float(cfg.params.m[i] * s[i]))
+              for i in range(cfg.params.n) if s[i] > 0.0]
     if ground is not None:
-        w2 = np.array([r.w2_to_ground for r in records])
-        if np.all(w2[t_arr >= window[0]] > 0.0):
-            fits.append(diagnostics.fit_decay_rate(
-                t_arr, w2, window, predicted_rate=modulus, quantity="w2_to_ground"))
+        series.append(("w2_to_ground", [r.w2_to_ground for r in records], rate))
+    fits = []
+    for quantity, values, predicted in series:
+        values = np.array(values)
+        # A log-linear fit needs 3 positive samples in the window; skip the others.
+        if np.count_nonzero(in_window) >= 3 and np.all(values[in_window] > 0.0):
+            fits.append(diagnostics.fit_decay_rate(t_arr, values, window,
+                                                   predicted_rate=predicted, quantity=quantity))
 
     payload = {"records": records, "rate_fits": fits,
                "manifest": manifest(cfg, "diagnose", dt_used=None)}

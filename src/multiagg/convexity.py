@@ -127,6 +127,13 @@ def lambda0_scalar(kappa: float, params: SystemParams) -> float:
     return float(params.m[0] * kappa * params.p[0])
 
 
+def modulus(kappa, params: SystemParams) -> float:
+    """Contraction rate of the flow: ``lambda0`` for n > 1, ``lambda0_scalar`` for n = 1."""
+    if params.n > 1:
+        return lambda0(kappa, params).lambda0
+    return lambda0_scalar(float(kappa[0][0]), params)
+
+
 def necessary_condition(kappa, params: SystemParams) -> np.ndarray:
     """Per-species flags (sum_j kappa_ij p_j > 0).
 
@@ -187,15 +194,9 @@ def analyze_system(pm: PotentialMatrix, params: SystemParams) -> ConvexityReport
     """Full convexity report: modulus, necessary flags, irreducibility, confinement."""
     if params.n != pm.n:
         raise ValueError(f"params are for n={params.n} species but matrix has n={pm.n}")
-    if params.n == 1:
-        value = lambda0_scalar(float(pm.kappa[0, 0]), params)
-        eta = None
-    else:
-        res = lambda0(pm.kappa, params)
-        value, eta = res.lambda0, res.eta
     report = ConvexityReport(
-        lambda0=value,
-        eta=eta,
+        lambda0=modulus(pm.kappa, params),
+        eta=lambda0(pm.kappa, params).eta if params.n > 1 else None,
         necessary_ok=necessary_condition(pm.kappa, params),
         irreducible=irreducible(pm),
     )

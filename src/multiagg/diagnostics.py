@@ -2,9 +2,9 @@
 
 All quadratures use the same flat midpoint rule over the M equal-mass cells
 as the solver right-hand side, so a state is diagnosed as steady exactly when
-the solver would not move it.  Pairwise sums over quadratic entries are
-evaluated in closed form from species masses and moments (O(M) per pair);
-other entries are summed directly (O(M^2) per pair).
+the solver would not move it.  Energy and force field are the pairwise engine
+``potentials.pair_energy`` / ``pair_fields`` on the grid as weighted clouds,
+the calls both solvers make.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .convexity import SystemParams
 from .measures import QuantileState
-from .potentials import PotentialMatrix, Quadratic
+from .potentials import PotentialMatrix, pair_energy, pair_fields
 
 
 @dataclass
@@ -55,22 +55,7 @@ class SteadyStateReport:
 
 def energy(qs: QuantileState, pm: PotentialMatrix) -> float:
     """Interaction energy (1/2) sum_ij p_i p_j / M^2 sum_kl W_ij(u_i[k] - u_j[l])."""
-    u, p, M = qs.u, qs.params.p, qs.M
-    rows = max(1, 16384 // M)
-    total = 0.0
-    for i in range(qs.n):
-        for j in range(qs.n):
-            pot = pm.entries[i][j]
-            if isinstance(pot, Quadratic):
-                total += pot.cloud_energy(u[i][:, None], np.full(M, p[i] / M),
-                                          u[j][:, None], np.full(M, p[j] / M))
-                continue
-            block = 0.0
-            for k0 in range(0, M, rows):
-                diff = u[i][k0:k0 + rows, None] - u[j][None, :]
-                block += float(np.asarray(pot.value(diff)).sum())
-            total += p[i] * p[j] / (M * M) * block
-    return float(0.5 * total)
+    return pair_energy(pm, *qs.clouds())
 
 
 def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
@@ -79,22 +64,7 @@ def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
     This is the stationarity residual field: the solver velocity equals
     -m_i times this quantity.
     """
-    u, p, M = qs.u, qs.params.p, qs.M
-    rows = max(1, 16384 // M)
-    out = np.zeros_like(u)
-    for i in range(qs.n):
-        for j in range(qs.n):
-            pot = pm.entries[i][j]
-            if pot.is_identically_zero():
-                continue
-            if isinstance(pot, Quadratic):
-                out[i] += pot.cloud_fields(u[i][:, None], np.full(M, p[i] / M),
-                                           u[j][:, None], np.full(M, p[j] / M))[0][:, 0]
-                continue
-            for k0 in range(0, M, rows):
-                diff = u[i][k0:k0 + rows, None] - u[j][None, :]
-                out[i, k0:k0 + rows] += p[j] / M * pot.deriv(diff).sum(axis=1)
-    return out
+    return np.stack(pair_fields(pm, *qs.clouds()))[:, :, 0]
 
 
 def dissipation(qs: QuantileState, pm: PotentialMatrix) -> float:

@@ -50,6 +50,10 @@ class QuantileState:
     def is_monotone(self) -> bool:
         return bool(np.all(np.diff(self.u, axis=1) >= 0.0))
 
+    def clouds(self):
+        """The species as weighted point clouds (see ``grid_clouds``)."""
+        return grid_clouds(self.u, self.params.p)
+
     def with_u(self, u: np.ndarray) -> "QuantileState":
         return QuantileState(u, self.params)
 
@@ -99,12 +103,22 @@ class ParticleState:
     def counts(self) -> list:
         return [x.shape[0] for x in self.positions]
 
+    def clouds(self):
+        """Per-species (positions, masses) as weighted point clouds."""
+        return self.positions, self.masses
+
     def with_positions(self, positions) -> "ParticleState":
         return ParticleState(positions, self.masses, self.params)
 
     def copy(self) -> "ParticleState":
         return ParticleState([x.copy() for x in self.positions],
                              [w.copy() for w in self.masses], self.params)
+
+
+def grid_clouds(u: np.ndarray, p: np.ndarray):
+    """Quantile grid u (n, M) as clouds (n, M, 1) of M points of weight p_i / M each."""
+    M = u.shape[1]
+    return u[:, :, None], np.repeat((p / M)[:, None], M, axis=1)
 
 
 def equal_mass_particles(positions: Sequence, params: SystemParams) -> ParticleState:
@@ -213,7 +227,10 @@ def write_quantile_csv(path, times: Sequence[float], states: Sequence[QuantileSt
 
 
 def read_quantile_csv(path, params: SystemParams):
-    """Inverse of write_quantile_csv; returns (times, states)."""
+    """Inverse of write_quantile_csv; returns (times, states).
+
+    Raises ValueError unless every snapshot is a full (params.n, M) grid, M fixed.
+    """
     by_time: dict = {}
     order: list = []
     with open(path, newline="") as fh:
@@ -223,11 +240,18 @@ def read_quantile_csv(path, params: SystemParams):
                 by_time[t] = {}
                 order.append(t)
             by_time[t][(int(row["species"]), int(row["cell"]))] = float(row["u"])
+    if not order:
+        raise ValueError("the trajectory holds no snapshot")
     times, states = [], []
     for t in order:
         cells = by_time[t]
         n = 1 + max(i for i, _ in cells)
         M = 1 + max(k for _, k in cells)
+        if len(cells) != n * M or min(min(key) for key in cells) < 0:
+            raise ValueError(f"snapshot t={t!r} is incomplete: {len(cells)} of {n}x{M} values")
+        M0 = states[0].M if states else M
+        if (n, M) != (params.n, M0):
+            raise ValueError(f"snapshot t={t!r} is a {n}x{M} grid, expected {params.n}x{M0}")
         u = np.empty((n, M))
         for (i, k), val in cells.items():
             u[i, k] = val

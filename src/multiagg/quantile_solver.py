@@ -6,13 +6,14 @@ The state advances by
 
 the midpoint-quadrature discretization of the nonlocal velocity field; the
 quadrature is exact for atomic (equal-mass-cell) data, so such states evolve
-as exact particle solutions.  Quadratic entries are summed in closed form from
-each species' mass and mean, O(M) per pair; every other entry is summed
-directly, O(M^2) per pair.
+as exact particle solutions.  The velocity comes from the engine
+``potentials.pair_fields`` on the grid as clouds of M points of weight p_i / M,
+the call the particle solver makes, so both agree bit-exactly on such data.
 
 Explicit schemes only (forward Euler and classical RK4): the velocity field
 is bounded and Lipschitz on bounded states, so a step-size bound derived from
-the gradient growth estimate keeps integration stable.  Monotonicity of the
+the gradient growth estimate keeps integration stable.  The step schedule,
+Euler/RK4 driver and ``stable_dt`` serve both solvers.  Monotonicity of the
 quantile vectors is preserved by the continuous flow but can be crossed by a
 discrete step; per-species sorting is the metric projection back onto the
 monotone cone and is a no-op when nothing crossed.
@@ -26,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .convexity import SystemParams, lambda0, lambda0_scalar
+from .convexity import modulus
 from .errors import NumericsError
-from .measures import QuantileState
-from .potentials import PotentialMatrix, Quadratic, estimate_growth_bound
+from .measures import QuantileState, grid_clouds
+from .potentials import PotentialMatrix, estimate_growth_bound, pair_fields
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -91,36 +92,8 @@ class Trajectory:
 
 
 def _velocity(u: np.ndarray, pm: PotentialMatrix, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Quadratic blocks are summed in closed form by moments.  Every other
-    # off-diagonal block is computed once: the reverse interaction is the
-    # negated transpose (bit-exactly, since the kernel derivative is odd), so
-    # row sums feed species i and negated column sums feed species j.  Blocks
-    # are processed in row tiles to keep temporaries cache-sized.
-    n, M = u.shape
-    rows = max(1, 16384 // M)
-    acc = np.zeros_like(u)
-    for i in range(n):
-        for j in range(i, n):
-            pot = pm.entries[i][j]
-            if pot.is_identically_zero():
-                continue
-            if isinstance(pot, Quadratic):
-                fi, fj = pot.cloud_fields(u[i][:, None], np.full(M, p[i] / M),
-                                          u[j][:, None], np.full(M, p[j] / M))
-                acc[i] -= fi[:, 0]
-                if j != i:
-                    acc[j] -= fj[:, 0]
-                continue
-            others = u[j][None, :]
-            colsum = np.zeros(M) if j != i else None
-            for k0 in range(0, M, rows):
-                g = pot.deriv(others - u[i][k0:k0 + rows, None])
-                acc[i, k0:k0 + rows] += p[j] / M * g.sum(axis=1)
-                if j != i:
-                    colsum += g.sum(axis=0)
-            if j != i:
-                acc[j] -= p[i] / M * colsum
-    return m[:, None] * acc
+    fields = pair_fields(pm, *grid_clouds(u, p))
+    return -m[:, None] * np.stack(fields)[:, :, 0]
 
 
 def _nonfinite_witness(u: np.ndarray, pm: PotentialMatrix) -> dict:
@@ -150,40 +123,53 @@ def rhs(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
     return v
 
 
-def stable_dt(qs: QuantileState, pm: PotentialMatrix, cfl_safety: float = 0.2,
-              cap: float = 1.0) -> float:
-    """Step bound cfl / max_i( m_i sum_j C_ij p_j (1 + diam) ).
+def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2, cap: float = 1.0) -> float:
+    """Step bound cfl / max_i( m_i sum_j C_ij p_j (1 + diam) ), quantile or particle state.
 
-    C_ij estimates the gradient growth constant over the current support
-    hull, so m_i sum_j C_ij p_j (1 + diam) bounds the velocity contrast that
-    could invert a cell in one step.
+    diam, sqrt(d) times the coordinate range, bounds the support diameter.
+    C_ij estimates the gradient growth constant over it, so the rate bounds
+    the velocity contrast that could invert a cell in one step.
     """
-    lo = float(qs.u.min())
-    hi = float(qs.u.max())
-    diam = hi - lo
+    xs, _ = state.clouds()
+    lo = min(float(x.min()) for x in xs)
+    hi = max(float(x.max()) for x in xs)
+    diam = np.sqrt(state.params.d) * (hi - lo)
     span = max(diam, 1e-9)
     rate = 0.0
-    for i in range(qs.n):
+    for i in range(state.n):
         total = 0.0
-        for j in range(qs.n):
+        for j in range(state.n):
             c = estimate_growth_bound(pm.entries[i][j], (-span, span), 513)
-            total += c * qs.params.p[j]
-        rate = max(rate, qs.params.m[i] * total * (1.0 + diam))
+            total += c * state.params.p[j]
+        rate = max(rate, state.params.m[i] * total * (1.0 + diam))
     if rate <= 0.0:
         return cap
     return min(cfl_safety / rate, cap)
 
 
-def _advance(u: np.ndarray, pm: PotentialMatrix, params: SystemParams,
-             dt: float, scheme: str) -> np.ndarray:
-    m, p = params.m, params.p
+def _explicit_step(f, xs: list, dt: float, scheme: str) -> list:
+    """One forward Euler or classical RK4 step of x' = f(x) on a list of arrays."""
+    k1 = f(xs)
     if scheme == "euler":
-        return u + dt * _velocity(u, pm, m, p)
-    k1 = _velocity(u, pm, m, p)
-    k2 = _velocity(u + 0.5 * dt * k1, pm, m, p)
-    k3 = _velocity(u + 0.5 * dt * k2, pm, m, p)
-    k4 = _velocity(u + dt * k3, pm, m, p)
-    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return [x + dt * a for x, a in zip(xs, k1)]
+    k2 = f([x + 0.5 * dt * a for x, a in zip(xs, k1)])
+    k3 = f([x + 0.5 * dt * a for x, a in zip(xs, k2)])
+    k4 = f([x + dt * a for x, a in zip(xs, k3)])
+    return [x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+            for x, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+
+
+def _step_schedule(cfg: SolverConfig, dt: float):
+    """(step length, time after it, snapshot due?) for each step: steps of dt,
+    then one onto t_end unless the remainder is roundoff."""
+    n_full = int(np.floor(cfg.t_end / dt + 1e-9))
+    remainder = cfg.t_end - n_full * dt
+    if remainder < 1e-12 * max(dt, 1.0):
+        remainder = 0.0
+    total_steps = n_full + (1 if remainder else 0)
+    for k in range(1, total_steps + 1):
+        h, t = (dt, k * dt) if k <= n_full else (remainder, cfg.t_end)
+        yield h, t, k % cfg.record_every == 0 or k == total_steps
 
 
 def step(qs: QuantileState, pm: PotentialMatrix, cfg: SolverConfig,
@@ -196,16 +182,15 @@ def step(qs: QuantileState, pm: PotentialMatrix, cfg: SolverConfig,
     """
     if dt is None:
         dt = cfg.dt if cfg.dt is not None else stable_dt(qs, pm, cfg.cfl_safety)
-    u1 = _advance(qs.u, pm, qs.params, dt, cfg.scheme)
+    [u1] = _explicit_step(lambda xs: [_velocity(xs[0], pm, qs.params.m, qs.params.p)],
+                          [qs.u], dt, cfg.scheme)
     if not np.all(np.isfinite(u1)):
         raise NumericsError(f"non-finite state after step of dt={dt}",
                             witness=_nonfinite_witness(qs.u, pm))
     violated = bool(np.any(np.diff(u1, axis=1) < 0.0))
-    repaired = False
-    if cfg.repair == "sort":
-        if violated:
-            u1 = np.sort(u1, axis=1)
-            repaired = True
+    repaired = violated and cfg.repair == "sort"
+    if repaired:
+        u1 = np.sort(u1, axis=1)
     return qs.with_u(u1), StepInfo(violated, repaired)
 
 
@@ -217,23 +202,13 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
     the concentrated ground state whenever the convexity modulus is positive.
     """
     dt = cfg.dt if cfg.dt is not None else stable_dt(qs0, pm, cfg.cfl_safety)
-    if qs0.params.n > 1:
-        modulus = lambda0(pm.kappa, qs0.params).lambda0
-    else:
-        modulus = lambda0_scalar(float(pm.kappa[0, 0]), qs0.params)
-    ground = diagnostics.ground_state(qs0.params, qs0.M) if modulus > 0.0 else None
+    positive = modulus(pm.kappa, qs0.params) > 0.0
+    ground = diagnostics.ground_state(qs0.params, qs0.M) if positive else None
 
     traj = Trajectory(times=[0.0], states=[qs0],
                       records=[diagnostics.record(qs0, pm, 0.0, ground)], dt=dt)
-    n_full = int(np.floor(cfg.t_end / dt + 1e-9))
-    remainder = cfg.t_end - n_full * dt
-    if remainder < 1e-12 * max(dt, 1.0):
-        remainder = 0.0
     qs = qs0
-    total_steps = n_full + (1 if remainder else 0)
-    for k in range(1, total_steps + 1):
-        this_dt = dt if k <= n_full else remainder
-        t = k * dt if k <= n_full else cfg.t_end
+    for this_dt, t, due in _step_schedule(cfg, dt):
         try:
             qs, info = step(qs, pm, cfg, dt=this_dt)
         except NumericsError as err:
@@ -241,7 +216,7 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
             raise
         traj.monotonicity_violations += info.monotonicity_violated
         traj.repair_events += info.repair_applied
-        if k % cfg.record_every == 0 or k == total_steps:
+        if due:
             traj.times.append(t)
             traj.states.append(qs)
             traj.records.append(diagnostics.record(qs, pm, t, ground))

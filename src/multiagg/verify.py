@@ -13,7 +13,7 @@ import numpy as np
 
 from . import diagnostics, measures, particle_solver, quantile_solver
 from .config import ExperimentConfig
-from .convexity import lambda0, lambda0_scalar, confining_check
+from .convexity import confining_check, modulus
 from .errors import NumericsError
 
 
@@ -33,12 +33,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-
-def _modulus(cfg: ExperimentConfig) -> float:
-    if cfg.params.n > 1:
-        return lambda0(cfg.potential.kappa, cfg.params).lambda0
-    return lambda0_scalar(float(cfg.potential.kappa[0, 0]), cfg.params)
 
 
 def _perturbed_initial(qs: measures.QuantileState) -> measures.QuantileState:
@@ -78,14 +72,14 @@ def run_verification(cfg: ExperimentConfig) -> VerificationReport:
         checks.sort(key=lambda c: c.name)
         return VerificationReport(checks, err.partial.dt if err.partial is not None else None)
 
-    modulus = _modulus(cfg)
+    rate = modulus(cfg.potential.kappa, cfg.params)
     checks.append(_center_conservation(cfg, traj))
     checks.append(_finite_propagation(traj))
-    checks.append(_contraction(cfg, traj, modulus))
+    checks.append(_contraction(cfg, traj, rate))
     checks.append(_delta_separation(cfg, traj))
     checks.append(_dissipation_identity(traj))
     checks.append(_confinement(cfg, traj))
-    checks.append(_ground_state(cfg, traj, modulus))
+    checks.append(_ground_state(cfg, traj, rate))
     checks.append(_gradient_consistency(cfg))
     checks.sort(key=lambda c: c.name)
     return VerificationReport(checks, traj.dt)

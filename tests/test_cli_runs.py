@@ -1,0 +1,103 @@
+"""CLI runs on malformed or short trajectories, and the step a run records."""
+
+import csv
+import json
+
+import pytest
+
+from multiagg import cli, quantile_solver
+from multiagg.config import config_from_dict
+
+
+def pair_config(**solver):
+    return {
+        "params": {"m": [1.0, 1.0], "p": [1.0, 1.0]},
+        "potential": {
+            "entries": [[{"kind": "quadratic", "a": 2.0}, {"kind": "quadratic", "a": 1.0}],
+                        [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]],
+            "kappa": [[2.0, 1.0], [1.0, 2.0]],
+        },
+        "initial": {"type": "preset", "name": "uniform",
+                    "args": {"lo": [-1.0, 0.0], "hi": [0.0, 1.0]}},
+        "M": 16,
+        "seed": 7,
+        "solver": dict({"dt": 0.01, "t_end": 0.1, "record_every": 2}, **solver),
+    }
+
+
+def write(path, cfg):
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def simulated_rows(tmp_path, cfg):
+    """(config path, header, data rows) of a simulate run."""
+    config = write(tmp_path / "run.json", cfg)
+    traj = str(tmp_path / "traj.csv")
+    assert cli.main(["simulate", "--config", config, "--out", traj]) == 0
+    with open(traj, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return config, rows[0], rows[1:]
+
+
+def diagnose(tmp_path, config, header, rows):
+    traj = tmp_path / "edited.csv"
+    with open(traj, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    return cli.main(["diagnose", "--traj", str(traj), "--config", config])
+
+
+def test_diagnose_rejects_snapshot_with_missing_cell(tmp_path, capsys):
+    config, header, rows = simulated_rows(tmp_path, pair_config())
+    rows = [r for r in rows if r[:3] != ["0.02", "1", "5"]]
+    assert diagnose(tmp_path, config, header, rows) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "t=0.02" in err and "incomplete" in err
+
+
+def test_diagnose_rejects_species_count_other_than_config(tmp_path, capsys):
+    _, header, rows = simulated_rows(tmp_path, pair_config())
+    single = {"params": {"m": [1.0], "p": [1.0]},
+              "potential": {"entries": [[{"kind": "quadratic", "a": 1.0}]], "kappa": [[1.0]]},
+              "M": 16}
+    config = write(tmp_path / "single.json", single)
+    assert diagnose(tmp_path, config, header, rows) == 2
+    assert "is a 2x16 grid, expected 1x16" in capsys.readouterr().err
+
+
+def test_diagnose_rejects_resolution_change(tmp_path, capsys):
+    config, header, rows = simulated_rows(tmp_path, pair_config())
+    last = rows[-1][0]
+    rows = [r for r in rows if not (r[0] == last and r[2] == "15")]
+    assert diagnose(tmp_path, config, header, rows) == 2
+    assert "is a 2x15 grid, expected 2x16" in capsys.readouterr().err
+
+
+def test_diagnose_rejects_trajectory_without_snapshots(tmp_path, capsys):
+    config, header, _ = simulated_rows(tmp_path, pair_config())
+    assert diagnose(tmp_path, config, header, []) == 2
+    assert "no snapshot" in capsys.readouterr().err
+
+
+def test_diagnose_short_run_reports_records_without_fits(tmp_path, capsys):
+    # One step with record_every=10: the initial and the final snapshot only.
+    config, header, rows = simulated_rows(tmp_path, pair_config(t_end=0.01, record_every=10))
+    capsys.readouterr()
+    assert diagnose(tmp_path, config, header, rows) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["t"] for r in payload["records"]] == [0.0, 0.01]
+    assert payload["rate_fits"] == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "particles"])
+def test_manifest_records_the_derived_step(tmp_path, command):
+    raw = pair_config()
+    del raw["solver"]["dt"]
+    config = write(tmp_path / "run.json", raw)
+    out = str(tmp_path / "out.csv")
+    assert cli.main([command, "--config", config, "--out", out]) == 0
+    cfg = config_from_dict(raw)
+    state = cfg.initial_quantile if command == "simulate" else cfg.initial_particles
+    expected = quantile_solver.stable_dt(state, cfg.potential, cfg.solver.cfl_safety)
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["dt"] == expected
