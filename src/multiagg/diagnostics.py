@@ -72,7 +72,10 @@ def dissipation(qs: QuantileState, pm: PotentialMatrix) -> float:
 
     = - sum_i (m_i p_i / M) sum_k [ sum_j (p_j/M) sum_l W'_ij(u_i[k]-u_j[l]) ]^2.
     """
-    field = force_field(qs, pm)
+    return _dissipation_of(qs, force_field(qs, pm))
+
+
+def _dissipation_of(qs: QuantileState, field: np.ndarray) -> float:
     m, p, M = qs.params.m, qs.params.p, qs.M
     return float(-np.sum(m * p / M * (field * field).sum(axis=1)))
 
@@ -152,8 +155,9 @@ def steady_state_check(trajectory, pm: PotentialMatrix, tol: float = 1e-8) -> St
     if not trajectory.states:
         raise ValueError("trajectory is empty")
     qs = trajectory.states[-1]
-    dis = dissipation(qs, pm)
+    field = force_field(qs, pm)
+    dis = _dissipation_of(qs, field)
     en = energy(qs, pm)
-    residuals = np.abs(force_field(qs, pm)).max(axis=1)
+    residuals = np.abs(field).max(axis=1)
     verdict = bool(abs(dis) < tol * (1.0 + abs(en)))
     return SteadyStateReport(verdict, dis, en, residuals, tol)

@@ -215,11 +215,14 @@ def second_moments(qs: QuantileState) -> np.ndarray:
 
 # --- CSV snapshot formats -------------------------------------------------
 
+_QUANTILE_COLUMNS = ("t", "species", "cell", "u")
+
+
 def write_quantile_csv(path, times: Sequence[float], states: Sequence[QuantileState]):
     """Long-format trajectory snapshots: columns t, species, cell, u."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "species", "cell", "u"])
+        writer.writerow(_QUANTILE_COLUMNS)
         for t, qs in zip(times, states):
             for i in range(qs.n):
                 for k in range(qs.M):
@@ -229,17 +232,30 @@ def write_quantile_csv(path, times: Sequence[float], states: Sequence[QuantileSt
 def read_quantile_csv(path, params: SystemParams):
     """Inverse of write_quantile_csv; returns (times, states).
 
-    Raises ValueError unless every snapshot is a full (params.n, M) grid, M fixed.
+    Raises ValueError unless the header names the columns t, species, cell,
+    u, every row fills them, and every snapshot is a full (params.n, M) grid,
+    M fixed.
     """
     by_time: dict = {}
     order: list = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            t = float(row["t"])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _QUANTILE_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"the header lacks column(s) {', '.join(missing)}")
+        it, ii, ik, iu = (header.index(c) for c in _QUANTILE_COLUMNS)
+        width = 1 + max(it, ii, ik, iu)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                raise ValueError(f"line {reader.line_num} has fewer fields than the header")
+            t = float(row[it])
             if t not in by_time:
                 by_time[t] = {}
                 order.append(t)
-            by_time[t][(int(row["species"]), int(row["cell"]))] = float(row["u"])
+            by_time[t][(int(row[ii]), int(row[ik]))] = float(row[iu])
     if not order:
         raise ValueError("the trajectory holds no snapshot")
     times, states = [], []

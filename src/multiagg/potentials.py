@@ -14,7 +14,11 @@ analysis.
 ``pair_fields`` / ``pair_energy`` are the one pairwise-interaction engine of
 both solvers and the diagnostics: each species pair once, zero entries
 skipped, ``Quadratic`` by moments, other kinds summed directly in bounded row
-tiles (on the signed displacement in d=1, radially in d > 1).
+tiles (on the signed displacement in d=1, radially in d > 1).  A diagonal
+pair (i, i) takes the kernel's self path (``self_fields`` / ``self_energy``),
+which evaluates each unordered pair of points once: row tiles sweep the upper
+triangle, and the reverse field negates the same block, bit-exactly as W' is
+odd.  Off-diagonal pairs take ``cloud_fields`` / ``cloud_energy``.
 """
 
 from __future__ import annotations
@@ -91,13 +95,54 @@ class ScalarPotential:
         return float(sum(wx[k0:k0 + rows] @ _value_block(self, x[k0:k0 + rows], y) @ wy
                          for k0 in range(0, len(x), rows)))
 
+    def self_fields(self, x, w):
+        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), each unordered pair once.
+
+        Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
+        feeds rows k0:k1, and its columns past k1 feed points k1:, negated.
+        """
+        N, d = x.shape
+        f = np.zeros_like(x)
+        for k0, k1 in _triangle_tiles(N):
+            L = N - k0
+            g = _grad_block(self, x[k0:k1], x[k0:])
+            f[k0:k1] += (g.reshape(-1, L) @ w[k0:]).reshape(-1, d)
+            back = (w[k0:k1] @ g.reshape(k1 - k0, -1)).reshape(d, L)
+            f[k1:] -= back[:, k1 - k0:].T
+        return f
+
+    def self_energy(self, x, w) -> float:
+        """sum_kl w_k w_l W(x_k - x_l) over the upper triangle: diagonal tiles plus twice the rest."""
+        total = 0.0
+        for k0, k1 in _triangle_tiles(len(x)):
+            row = w[k0:k1] @ _value_block(self, x[k0:k1], x[k0:])
+            total += row[:k1 - k0] @ w[k0:k1] + 2.0 * (row[k1 - k0:] @ w[k1:])
+        return float(total)
+
+
+def _triangle_tiles(N: int):
+    """Row tiles [k0, k1) of an N-point self block, each about _TILE evaluations against x[k0:]."""
+    k0 = 0
+    while k0 < N:
+        k1 = min(N, k0 + max(1, _TILE // (N - k0)))
+        yield k0, k1
+        k0 = k1
+
+
+def _radius(diff: np.ndarray) -> np.ndarray:
+    """|diff| over axis 1 of a (T, d, L) block, accumulated on contiguous (T, L) slices."""
+    r2 = diff[:, 0] * diff[:, 0]
+    for a in range(1, diff.shape[1]):
+        r2 += diff[:, a] * diff[:, a]
+    return np.sqrt(r2)
+
 
 def _grad_block(pot: ScalarPotential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """grad W(x_k - y_l) for a row tile x (T, d) against y (L, d), laid out (T, d, L)."""
     if x.shape[1] == 1:
         return pot.deriv(x - y.T)[:, None, :]
     diff = x[:, :, None] - y.T[None, :, :]
-    r = np.sqrt((diff * diff).sum(axis=1))
+    r = _radius(diff)
     g = pot.deriv(r)
     coef = np.divide(g, r, out=np.zeros_like(g), where=r > 0.0)
     return coef[:, None, :] * diff
@@ -107,8 +152,7 @@ def _value_block(pot: ScalarPotential, x: np.ndarray, y: np.ndarray) -> np.ndarr
     """W(x_k - y_l) for a row tile x (T, d) against y (L, d), as (T, L)."""
     if x.shape[1] == 1:
         return pot.value(x - y.T)
-    diff = x[:, :, None] - y.T[None, :, :]
-    return pot.value(np.sqrt((diff * diff).sum(axis=1)))
+    return pot.value(_radius(x[:, :, None] - y.T[None, :, :]))
 
 
 @dataclass(frozen=True)
@@ -158,6 +202,16 @@ class Quadratic(ScalarPotential):
         dc = cx - cy
         spread = float(dc @ dc) + _weighted_var(x, wx, Wx, cx) + _weighted_var(y, wy, Wy, cy)
         return float(0.5 * self.a * Wx * Wy * spread)
+
+    def self_fields(self, x, w):
+        """Exact self field a W (x - mean), as ``cloud_fields(x, w, x, w)[0]``."""
+        W, c = _weighted_mean(x, w)
+        return self.a * W * (x - c)
+
+    def self_energy(self, x, w) -> float:
+        """Exact self energy a W^2 var, as ``cloud_energy(x, w, x, w)``."""
+        W, c = _weighted_mean(x, w)
+        return float(self.a * W * W * _weighted_var(x, w, W, c))
 
 
 def _weighted_mean(x: np.ndarray, w: np.ndarray):
@@ -450,13 +504,16 @@ def pair_fields(pm: PotentialMatrix, xs, ws) -> list:
 
     ``xs[i]`` (N_i, d) holds the points of species i and ``ws[i]`` (N_i,)
     their weights; returns one (N_i, d) array per species.  Each pair i < j
-    is evaluated once and feeds both species.
+    is evaluated once and feeds both species; each pair i == j takes the
+    kernel's self path.
     """
     out = [np.zeros_like(x) for x in xs]
     for i, j, pot in _live_pairs(pm):
-        fi, fj = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j])
-        out[i] += fi
-        if j != i:
+        if j == i:
+            out[i] += pot.self_fields(xs[i], ws[i])
+        else:
+            fi, fj = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j])
+            out[i] += fi
             out[j] += fj
     return out
 
@@ -465,8 +522,10 @@ def pair_energy(pm: PotentialMatrix, xs, ws) -> float:
     """(1/2) sum_ij sum_kl ws[i][k] ws[j][l] W_ij(xs[i][k] - xs[j][l]); see pair_fields."""
     total = 0.0
     for i, j, pot in _live_pairs(pm):
-        e = pot.cloud_energy(xs[i], ws[i], xs[j], ws[j])
-        total += e if j == i else 2.0 * e
+        if j == i:
+            total += pot.self_energy(xs[i], ws[i])
+        else:
+            total += 2.0 * pot.cloud_energy(xs[i], ws[i], xs[j], ws[j])
     return float(0.5 * total)
 
 

@@ -30,7 +30,7 @@ from . import diagnostics
 from .convexity import modulus
 from .errors import NumericsError
 from .measures import QuantileState, grid_clouds
-from .potentials import PotentialMatrix, estimate_growth_bound, pair_fields
+from .potentials import _TILE, PotentialMatrix, estimate_growth_bound, pair_fields
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -97,14 +97,17 @@ def _velocity(u: np.ndarray, pm: PotentialMatrix, m: np.ndarray, p: np.ndarray) 
 
 
 def _nonfinite_witness(u: np.ndarray, pm: PotentialMatrix) -> dict:
+    """First (i, j, k, l) in row-major order with non-finite W'_ij(u_j[l] - u_i[k]), in row tiles."""
     n, M = u.shape
+    rows = max(1, _TILE // M)
     for i in range(n):
         for j in range(n):
-            g = pm.entries[i][j].deriv(u[j][None, :] - u[i][:, None])
-            bad = np.argwhere(~np.isfinite(np.asarray(g)))
-            if bad.size:
-                k, l = map(int, bad[0])
-                return {"i": i, "j": j, "k": k, "l": l}
+            for k0 in range(0, M, rows):
+                g = pm.entries[i][j].deriv(u[j][None, :] - u[i][k0:k0 + rows, None])
+                bad = np.argwhere(~np.isfinite(g))
+                if bad.size:
+                    k, l = map(int, bad[0])
+                    return {"i": i, "j": j, "k": k0 + k, "l": l}
     bad = np.argwhere(~np.isfinite(u))
     if bad.size:
         i, k = map(int, bad[0])

@@ -79,6 +79,22 @@ def test_diagnose_rejects_trajectory_without_snapshots(tmp_path, capsys):
     assert "no snapshot" in capsys.readouterr().err
 
 
+def test_diagnose_rejects_header_without_u_column(tmp_path, capsys):
+    config, header, rows = simulated_rows(tmp_path, pair_config())
+    header = ["value" if c == "u" else c for c in header]
+    assert diagnose(tmp_path, config, header, rows) == 2
+    err = capsys.readouterr().err
+    assert "config error: traj:" in err and "lacks column(s) u" in err
+
+
+def test_diagnose_rejects_truncated_row(tmp_path, capsys):
+    config, header, rows = simulated_rows(tmp_path, pair_config())
+    rows[5] = rows[5][:3]
+    assert diagnose(tmp_path, config, header, rows) == 2
+    err = capsys.readouterr().err
+    assert "config error: traj:" in err and "line 7 has fewer fields" in err
+
+
 def test_diagnose_short_run_reports_records_without_fits(tmp_path, capsys):
     # One step with record_every=10: the initial and the final snapshot only.
     config, header, rows = simulated_rows(tmp_path, pair_config(t_end=0.01, record_every=10))

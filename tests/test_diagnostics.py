@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import multiagg as mg
+from multiagg import diagnostics
 from multiagg.diagnostics import (dissipation, energy, fit_decay_rate, force_field,
                                   ground_state, steady_state_check, support_and_diameter)
 from multiagg.quantile_solver import SolverConfig, rhs, run
@@ -151,6 +152,25 @@ def test_steady_state_mirror_diracs_of_double_well():
     report = steady_state_check(traj, pm)
     assert report.verdict
     assert report.residuals.max() < 1e-8
+
+
+def test_steady_state_check_evaluates_the_field_once(monkeypatch):
+    pm = mg.matrix_from_entries([[mg.GaussianAR(1.0, 1.0, 0.6, 0.2)]], kappa=[[-3.0]])
+    u = np.sort(np.random.default_rng(5).normal(size=(1, 40)), axis=1)
+    qs = mg.QuantileState(u, sp([1.0], [1.0], E=float(u.mean())))
+    traj = run(qs, pm, SolverConfig(dt=0.01, t_end=0.0))
+    expected = (dissipation(qs, pm), energy(qs, pm), np.abs(force_field(qs, pm)).max(axis=1))
+    original, calls = diagnostics.pair_fields, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(diagnostics, "pair_fields", counted)
+    report = steady_state_check(traj, pm)
+    assert len(calls) == 1
+    assert (report.dissipation, report.energy) == expected[:2]
+    assert np.array_equal(report.residuals, expected[2])
 
 
 def test_ground_state_is_energy_minimum(two_species_attractive):

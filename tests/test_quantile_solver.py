@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import multiagg as mg
+from multiagg import quantile_solver
 from multiagg.measures import cell_midpoints
 from multiagg.quantile_solver import SolverConfig, rhs, run, stable_dt, step
 
@@ -60,6 +61,18 @@ def test_rhs_nonfinite_raises_with_witness():
         with pytest.raises(mg.NumericsError) as exc:
             rhs(qs, pm)
     assert {"i", "j", "k", "l"} <= set(exc.value.witness)
+
+
+@pytest.mark.parametrize("tile", [4, 16384])
+def test_nonfinite_witness_is_the_first_in_row_major_order(monkeypatch, tile):
+    # One row per tile at tile=4; the only overflow sits in row k=3 of pair (0, 1).
+    monkeypatch.setattr(quantile_solver, "_TILE", tile)
+    pm = mg.matrix_from_entries([[mg.Zero(), mg.Power(q=8.0, a=1e300)], [None, mg.Zero()]],
+                                kappa=np.zeros((2, 2)))
+    u = np.array([[-1.0, 0.0, 1.0, 50.0], [0.0, 0.1, 0.2, 0.3]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        witness = quantile_solver._nonfinite_witness(u, pm)
+    assert witness == {"i": 0, "j": 1, "k": 3, "l": 0}
 
 
 def test_step_zero_velocity_is_fixed_point():

@@ -1,0 +1,100 @@
+"""The self path of the pairwise engine, and kernel symmetry properties.
+
+``self_fields`` / ``self_energy`` evaluate each unordered pair of a cloud
+once, sweeping the upper triangle in row tiles.  The oracle is the
+two-sided direct sum ``cloud_fields`` / ``cloud_energy`` of the cloud
+against a copy of itself, which evaluates every ordered pair.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multiagg as mg
+from multiagg import potentials
+
+DIRECT_KINDS = [
+    mg.GaussianAR(1.0, 1.0, 0.6, 0.2),
+    mg.Morse(1.0, 1.0, 0.5, 0.25, eps=0.1),
+    mg.Power(3.0, 0.5),
+    mg.DoubleWell(0.3, 0.5),
+    mg.Tabulated(knots=(0.0, 1.0, 2.0), values=(0.0, 0.4, 1.9), derivs=(0.0, 1.0, 2.0)),
+]
+ALL_KINDS = DIRECT_KINDS + [mg.Quadratic(0.7), mg.Quadratic(-1.3), mg.Zero()]
+
+
+def kind_id(kind):
+    return type(kind).__name__
+
+
+def cloud(N, d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 1.0, (N, d)), rng.uniform(0.2, 1.5, N)
+
+
+@pytest.mark.parametrize("kind", DIRECT_KINDS + [mg.Quadratic(0.7)], ids=kind_id)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N, tile", [(1, None), (2, None), (300, None), (300, 64)],
+                         ids=["N1", "N2", "N300", "N300-above-tile"])
+def test_self_path_matches_two_sided_direct_sum(monkeypatch, kind, d, N, tile):
+    if tile is not None:
+        # N > _TILE: every tile before the last 64 rows holds a single row.
+        monkeypatch.setattr(potentials, "_TILE", tile)
+    x, w = cloud(N, d, seed=N + d)
+    direct_f, _ = kind.cloud_fields(x, w, x.copy(), w)
+    direct_e = kind.cloud_energy(x, w, x.copy(), w)
+    f = kind.self_fields(x, w)
+    e = kind.self_energy(x, w)
+    assert f.shape == direct_f.shape
+    assert np.abs(f - direct_f).max() <= 1e-12 * (1.0 + np.abs(direct_f).max())
+    assert abs(e - direct_e) <= 1e-12 * (1.0 + abs(direct_e))
+
+
+def test_engine_takes_the_self_path_on_diagonal_pairs(monkeypatch):
+    kind = DIRECT_KINDS[0]
+    pm = mg.matrix_from_entries([[kind, mg.Quadratic(0.4)], [None, kind]],
+                                kappa=np.zeros((2, 2)))
+    (x0, w0), (x1, w1) = cloud(40, 2, seed=1), cloud(30, 2, seed=2)
+    seen = []
+    original = type(kind).self_fields
+
+    def counted(self, x, w):
+        seen.append(len(x))
+        return original(self, x, w)
+
+    monkeypatch.setattr(type(kind), "self_fields", counted)
+    potentials.pair_fields(pm, [x0, x1], [w0, w1])
+    assert seen == [40, 30]
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.floats(-1e6, 1e6))
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+def test_value_is_bit_exactly_even(kind, z):
+    assert kind.value(z) == kind.value(-z)
+    zs = np.array([z, -z, 2.0 * z])
+    assert np.array_equal(kind.value(zs), kind.value(-zs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.floats(-1e6, 1e6))
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+def test_deriv_is_bit_exactly_odd(kind, z):
+    assert kind.deriv(-z) == -kind.deriv(z)
+    zs = np.array([z, -z, 2.0 * z])
+    assert np.array_equal(kind.deriv(-zs), -kind.deriv(zs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), N=st.integers(1, 10))
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+def test_self_field_conserves_weighted_momentum(kind, data, d, N):
+    coords = st.floats(-5.0, 5.0)
+    x = np.array(data.draw(st.lists(coords, min_size=N * d, max_size=N * d))).reshape(N, d)
+    w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N)))
+    f = kind.self_fields(x, w)
+    # Roundoff scale: the weighted sum of |grad W| over every ordered pair.
+    diff = x[:, None, :] - x[None, :, :]
+    scale = w @ np.abs(kind.deriv(np.sqrt((diff * diff).sum(axis=-1)))) @ w
+    assert np.abs(w @ f).max() <= 1e-12 * (1.0 + scale)
