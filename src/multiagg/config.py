@@ -9,8 +9,10 @@ detected schema problem as ``path: expected``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,24 +29,16 @@ from .quantile_solver import SolverConfig
 DEFAULT_M = 256
 DEFAULT_INITIAL = {"type": "preset", "name": "uniform", "args": {"lo": -1.0, "hi": 1.0}}
 
-_KIND_FIELDS = {
-    "quadratic": ("a",),
-    "power": ("q", "a"),
-    "morse": ("ca", "la", "cr", "lr", "eps"),
-    "gaussian_ar": ("ca", "la", "cr", "lr"),
-    "double_well": ("a", "b"),
-    "zero": (),
-    "tabulated": ("knots", "values", "derivs"),
-}
-
-_KIND_BUILDERS = {
+# Kernel kind name -> class.  A kind's config fields are the class's dataclass
+# fields, all required; tuple-typed fields take lists of numbers.
+KERNEL_KINDS = {
     "quadratic": Quadratic,
     "power": Power,
     "morse": Morse,
     "gaussian_ar": GaussianAR,
     "double_well": DoubleWell,
     "zero": Zero,
-    "tabulated": lambda knots, values, derivs: Tabulated(tuple(knots), tuple(values), tuple(derivs)),
+    "tabulated": Tabulated,
 }
 
 
@@ -61,34 +55,47 @@ class ExperimentConfig:
     source_hash: Optional[str] = None
 
 
+def _is_number(raw) -> bool:
+    """A finite JSON number: not a bool, NaN, an infinity or an integer too large for a float."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:
+        return False
+
+
 def potential_from_dict(d: dict, path: str) -> ScalarPotential:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{path}: expected an object with a 'kind' field")
     kind = d["kind"]
-    if kind not in _KIND_FIELDS:
-        raise ConfigError(f"{path}.kind: expected one of {sorted(_KIND_FIELDS)}, got {kind!r}")
-    fields = _KIND_FIELDS[kind]
-    missing = [f for f in fields if f not in d]
+    if not isinstance(kind, str) or kind not in KERNEL_KINDS:
+        raise ConfigError(f"{path}.kind: expected one of {sorted(KERNEL_KINDS)}, got {kind!r}")
+    cls = KERNEL_KINDS[kind]
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    missing = [name for name in names if name not in d]
     if missing:
-        raise ConfigError(f"{path}: kind {kind!r} requires fields {list(fields)}, missing {missing}")
-    extra = set(d) - set(fields) - {"kind"}
+        raise ConfigError(f"{path}: kind {kind!r} requires fields {names}, missing {missing}")
+    extra = set(d) - set(names) - {"kind"}
     if extra:
         raise ConfigError(f"{path}: unknown fields {sorted(extra)} for kind {kind!r}")
     for f in fields:
-        if kind == "tabulated":
-            if not isinstance(d[f], list) or not all(isinstance(v, (int, float)) for v in d[f]):
-                raise ConfigError(f"{path}.{f}: expected a list of numbers")
-        elif not isinstance(d[f], (int, float)) or isinstance(d[f], bool):
-            raise ConfigError(f"{path}.{f}: expected a number, got {d[f]!r}")
+        value = d[f.name]
+        if f.type in (tuple, "tuple"):
+            if not isinstance(value, list) or not all(_is_number(v) for v in value):
+                raise ConfigError(f"{path}.{f.name}: expected a list of finite numbers")
+        elif not _is_number(value):
+            raise ConfigError(f"{path}.{f.name}: expected a finite number, got {value!r}")
     try:
-        return _KIND_BUILDERS[kind](**{f: d[f] for f in fields})
+        return cls(**{name: d[name] for name in names})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
 def _number(raw, path, issues, positive=False, integer=False):
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        issues.append(f"{path}: expected a number, got {raw!r}")
+    if not _is_number(raw):
+        issues.append(f"{path}: expected a finite number, got {raw!r}")
         return None
     if integer and int(raw) != raw:
         issues.append(f"{path}: expected an integer, got {raw!r}")
@@ -100,8 +107,8 @@ def _number(raw, path, issues, positive=False, integer=False):
 
 
 def _vector(raw, path, issues, length=None):
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
-        issues.append(f"{path}: expected a list of numbers")
+    if not isinstance(raw, list) or not all(_is_number(v) for v in raw):
+        issues.append(f"{path}: expected a list of finite numbers")
         return None
     if length is not None and len(raw) != length:
         issues.append(f"{path}: expected length {length}, got {len(raw)}")
@@ -113,6 +120,9 @@ def _matrix(raw, path, issues, n, symmetric=True):
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(r, list) or len(r) != n for r in raw)):
         issues.append(f"{path}: expected an {n}x{n} matrix")
+        return None
+    if not all(_is_number(v) for r in raw for v in r):
+        issues.append(f"{path}: expected finite numbers")
         return None
     arr = np.asarray(raw, dtype=float)
     if symmetric and not np.array_equal(arr, arr.T):
@@ -201,53 +211,31 @@ def _build_preset(name: str, args: dict, n: int, M: int, rng) -> np.ndarray:
                       "(expected two_diracs, uniform or gauss_pair)")
 
 
-def _build_initial(raw_initial: dict, m, p, d: int, M: int, seed: int):
-    """Returns (quantile u array or None, particle (positions, masses) or None)."""
+def _build_initial(raw_initial, params: SystemParams, M: int, seed: int):
+    """The initial datum as a ParticleState or QuantileState; the state classes validate it."""
+    if not isinstance(raw_initial, dict):
+        raise ConfigError("initial: expected an object with a 'type' field")
     itype = raw_initial.get("type")
     if itype == "particles":
         species = raw_initial.get("species")
-        if not isinstance(species, list) or len(species) != len(m):
-            raise ConfigError(f"initial.species: expected a list of {len(m)} species objects")
-        positions, masses = [], []
-        for i, s in enumerate(species):
-            if not isinstance(s, dict) or "x" not in s or "mass" not in s:
-                raise ConfigError(f"initial.species[{i}]: expected an object with 'x' and 'mass'")
-            x = np.asarray(s["x"], dtype=float)
-            if x.ndim == 1:
-                x = x[:, None]
-            if x.ndim != 2 or x.shape[1] != d:
-                raise ConfigError(f"initial.species[{i}].x: expected positions of dimension d={d}")
-            w = np.asarray(s["mass"], dtype=float)
-            if w.shape != (x.shape[0],):
-                raise ConfigError(f"initial.species[{i}].mass: expected one mass per particle")
-            total = float(w.sum())
-            if abs(total - p[i]) > 1e-12 * p[i]:
-                raise ConfigError(f"initial.species[{i}]: particle masses sum to {total!r} "
-                                  f"but params.p[{i}] is {p[i]!r}")
-            positions.append(x)
-            masses.append(w)
-        return None, (positions, masses)
+        if not isinstance(species, list) or any(
+                not isinstance(s, dict) or "x" not in s or "mass" not in s for s in species):
+            raise ConfigError(f"initial.species: expected a list of {params.n} objects "
+                              "with 'x' and 'mass'")
+        return ParticleState([s["x"] for s in species], [s["mass"] for s in species], params)
     if itype == "quantile_grid":
-        if d != 1:
-            raise ConfigError("initial.type: quantile_grid requires d=1")
-        values = raw_initial.get("values")
-        if not isinstance(values, list) or len(values) != len(m):
-            raise ConfigError(f"initial.values: expected {len(m)} rows of quantile values")
-        u = np.asarray(values, dtype=float)
-        if u.ndim != 2:
-            raise ConfigError("initial.values: rows must have equal length")
-        for i in range(u.shape[0]):
-            if np.any(np.diff(u[i]) < 0.0):
+        state = QuantileState(raw_initial.get("values"), params)
+        for i, row in enumerate(state.u):
+            if np.any(np.diff(row) < 0.0):
                 raise ConfigError(f"initial.values[{i}]: quantile values must be non-decreasing")
-        return u, None
+        return state
     if itype == "preset":
-        if d != 1:
-            raise ConfigError("initial.type: presets are one-dimensional; "
-                              "use explicit particles for d > 1")
+        args = raw_initial.get("args", {})
+        if not isinstance(args, dict):
+            raise ConfigError("initial.args: expected an object")
         rng = np.random.default_rng(seed)
-        u = _build_preset(raw_initial.get("name", ""), raw_initial.get("args", {}),
-                          len(m), M, rng)
-        return u, None
+        u = _build_preset(raw_initial.get("name", ""), args, params.n, M, rng)
+        return QuantileState(u, params)
     raise ConfigError(f"initial.type: expected particles, quantile_grid or preset, got {itype!r}")
 
 
@@ -283,11 +271,12 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
             d = _number(params_raw["d"], "params.d", issues, positive=True, integer=True) or 1
         if "E" in params_raw:
             e_raw = params_raw["E"]
-            if isinstance(e_raw, (int, float)):
-                declared_E = np.array([float(e_raw)])
-            else:
+            if isinstance(e_raw, list):
                 vec = _vector(e_raw, "params.E", issues, length=d)
                 declared_E = None if vec is None else np.asarray(vec)
+            else:
+                value = _number(e_raw, "params.E", issues)
+                declared_E = None if value is None else np.array([value])
             if declared_E is not None and declared_E.shape != (d,):
                 issues.append(f"params.E: expected a scalar or length-{d} vector")
                 declared_E = None
@@ -330,36 +319,34 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
     if issues or potential is None or solver is None:
         raise ConfigError(issues)
 
-    initial_raw = raw.get("initial", DEFAULT_INITIAL)
-    u, particles = _build_initial(initial_raw, m, p, d, M, used_seed)
-    if u is not None:
-        M = u.shape[1]  # an explicit grid fixes the resolution
-
-    # The conserved center is computed from the initial datum; an explicitly
-    # declared value must agree with it.
-    if particles is not None:
-        positions, masses = particles
-        center = np.zeros(d)
-        for i in range(n):
-            center += (masses[i][:, None] * positions[i]).sum(axis=0) / m[i]
-    else:
-        center = np.array([float(np.sum(np.asarray(p) / np.asarray(m) * u.mean(axis=1)))])
+    # The state classes validate the initial datum against provisional params
+    # (E = 0); the conserved center is computed from it and fixes params.E.
+    params = SystemParams(np.asarray(m), np.asarray(p), np.zeros(d), d=d)
+    try:
+        state = _build_initial(raw.get("initial", DEFAULT_INITIAL), params, M, used_seed)
+        if isinstance(state, ParticleState):
+            center = measures.particle_center_of_mass(state)
+        else:
+            center = np.array([measures.weighted_center_of_mass(state)])
+        params = dataclasses.replace(params, E=center)
+        state = dataclasses.replace(state, params=params)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise ConfigError(f"initial: {err}") from err
     if declared_E is not None:
         scale = 1.0 + float(np.abs(declared_E).max())
         if float(np.abs(declared_E - center).max()) > 1e-9 * scale:
             raise ConfigError(f"params.E: declared {declared_E.tolist()} but the initial datum "
                               f"has weighted center {center.tolist()}")
-    params = SystemParams(np.asarray(m), np.asarray(p), center, d=d)
 
-    initial_quantile = None
-    initial_particles = None
-    if particles is not None:
-        initial_particles = ParticleState(particles[0], particles[1], params)
-        if d == 1:
-            initial_quantile = measures.quantile_from_particles(initial_particles, M)
+    if isinstance(state, ParticleState):
+        initial_particles = state
+        initial_quantile = measures.quantile_from_particles(state, M) if d == 1 else None
     else:
-        initial_quantile = QuantileState(u, params)
-        initial_particles = measures.particles_from_quantile(initial_quantile)
+        M = state.M  # an explicit grid fixes the resolution
+        initial_quantile = state
+        initial_particles = measures.particles_from_quantile(state)
 
     return ExperimentConfig(params=params, potential=potential, solver=solver, M=M,
                             seed=used_seed, initial_quantile=initial_quantile,

@@ -83,6 +83,8 @@ class ParticleState:
                     f"species {i}: positions must have shape (N, d={self.params.d}), got {x.shape}")
             if w.shape != (x.shape[0],):
                 raise ValueError(f"species {i}: need one mass per particle")
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+                raise ValueError(f"species {i}: positions and masses must be finite")
             if np.any(w <= 0.0):
                 raise ValueError(f"species {i}: particle masses must be positive")
             total = float(w.sum())

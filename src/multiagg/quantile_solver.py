@@ -52,17 +52,17 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.repair not in REPAIRS:
             raise ValueError(f"repair must be one of {REPAIRS}, got {self.repair!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ValueError("record_every must be >= 1")
 
 

@@ -1,7 +1,11 @@
-"""CLI runs on malformed or short trajectories, and the step a run records."""
+"""CLI runs on malformed configs, malformed or short trajectories, and the step a run records."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +121,57 @@ def test_manifest_records_the_derived_step(tmp_path, command):
     expected = quantile_solver.stable_dt(state, cfg.potential, cfg.solver.cfl_safety)
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["dt"] == expected
+
+
+def particle_initial(x0=(0.0, 1.0), mass0=(0.5, 0.5)):
+    return {"type": "particles", "species": [{"x": list(x0), "mass": list(mass0)},
+                                             {"x": [0.0], "mass": [1.0]}]}
+
+
+MALFORMED = {
+    "particle_mass_zero": ("initial", particle_initial(mass0=[1.0, 0.0])),
+    "particle_mass_negative": ("initial", particle_initial(mass0=[1.5, -0.5])),
+    "quantile_grid_nan": ("initial", {"type": "quantile_grid",
+                                      "values": [[0.0, float("nan")], [0.0, 1.0]]}),
+    "quantile_grid_infinity": ("initial", {"type": "quantile_grid",
+                                           "values": [[0.0, float("inf")], [0.0, 1.0]]}),
+    "ragged_particle_x": ("initial", particle_initial(x0=[[0.0], [1.0, 2.0]])),
+    "ragged_quantile_grid": ("initial", {"type": "quantile_grid",
+                                         "values": [[0.0, 1.0], [0.0]]}),
+    "string_coordinate": ("initial", particle_initial(x0=[0.0, "a"])),
+    "gauss_pair_string_sigma": ("initial", {"type": "preset", "name": "gauss_pair",
+                                            "args": {"sigma": "x"}}),
+    "gauss_pair_zero_weights": ("initial", {"type": "preset", "name": "gauss_pair",
+                                            "args": {"weights": [0.0, 0.0]}}),
+    "mobility_nan": ("params", {"m": [float("nan"), 1.0], "p": [1.0, 1.0]}),
+    "t_end_nan": ("solver", {"dt": 0.01, "t_end": float("nan")}),
+    "kernel_field_nan": ("potential", dict(pair_config()["potential"], entries=[
+        [{"kind": "quadratic", "a": float("nan")}, {"kind": "quadratic", "a": 1.0}],
+        [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
+}
+
+
+def malformed_config(case):
+    raw = pair_config()
+    key, value = MALFORMED[case]
+    raw[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
+    config = write(tmp_path / "bad.json", malformed_config(case))
+    assert cli.main(["analyze", "--config", config]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_malformed_config_exits_2_without_traceback(tmp_path):
+    config = write(tmp_path / "bad.json", malformed_config("ragged_particle_x"))
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "multiagg.cli", "analyze", "--config", config],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "config error: initial:" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from multiagg import cli, quantile_solver
-from multiagg.config import config_from_dict
+from multiagg.config import KERNEL_KINDS, config_from_dict, potential_from_dict
 from multiagg.errors import ConfigError
 
 
@@ -115,6 +116,37 @@ def test_unknown_kind_and_missing_fields():
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
     assert "missing" in str(exc.value)
+
+
+KIND_SAMPLES = {
+    "quadratic": {"a": 1.0},
+    "power": {"q": 3.0, "a": 0.5},
+    "morse": {"ca": 1.0, "la": 1.0, "cr": 0.5, "lr": 0.25, "eps": 0.1},
+    "gaussian_ar": {"ca": 1.0, "la": 1.0, "cr": 0.6, "lr": 0.2},
+    "double_well": {"a": 1.0, "b": 0.5},
+    "zero": {},
+    "tabulated": {"knots": [0.0, 1.0, 2.0], "values": [0.0, 0.5, 2.0],
+                  "derivs": [0.0, 1.0, 2.0]},
+}
+
+
+def test_every_kernel_kind_has_a_sample():
+    assert set(KIND_SAMPLES) == set(KERNEL_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SAMPLES))
+def test_kernel_kind_fields_are_its_dataclass_fields(kind):
+    cls = KERNEL_KINDS[kind]
+    sample = KIND_SAMPLES[kind]
+    assert set(sample) == {f.name for f in dataclasses.fields(cls)}
+    pot = potential_from_dict(dict(sample, kind=kind), "k")
+    assert pot == cls(**sample)
+    for name in sample:
+        missing = {f: v for f, v in sample.items() if f != name}
+        with pytest.raises(ConfigError, match=f"missing \\['{name}'\\]"):
+            potential_from_dict(dict(missing, kind=kind), "k")
+    with pytest.raises(ConfigError, match="unknown fields \\['extra'\\]"):
+        potential_from_dict(dict(sample, kind=kind, extra=1.0), "k")
 
 
 def test_presets_two_diracs_and_gauss_pair():
