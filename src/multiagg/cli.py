@@ -40,7 +40,8 @@ def _print_json(payload, out=None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    else:
+        print(text)
 
 
 def _write_quantile_diag_csv(path, records, n):

@@ -27,9 +27,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 _TILE = 16384  # kernel evaluations per row tile of a directly summed block
+
+# A tile temporary is 128 KiB, glibc's default mmap threshold, and one kernel
+# evaluation holds about 1 MiB of them, so glibc would map and unmap them (and
+# the OS refault every page) on each tile.  Freeing one 4 MiB block raises
+# glibc's dynamic mmap and trim thresholds above that, and they never fall
+# again in this process.  Other allocators ignore it.
+np.empty(32 * _TILE)
 
 
 def _maybe_scalar(out: np.ndarray, z) -> "np.ndarray | float":
@@ -363,27 +369,47 @@ class Tabulated(ScalarPotential):
             raise ValueError("Tabulated knots must start at 0")
         if derivs[0] != 0.0:
             raise ValueError("Tabulated derivative at the origin must be 0 (C1 even kernel)")
-        spline = CubicHermiteSpline(np.array(knots), np.array(values), np.array(derivs))
-        dspline = spline.derivative()
+        k, v, d = np.array(knots), np.array(values), np.array(derivs)
+        h = np.diff(k)
+        slope = np.diff(v) / h
+        c2 = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
+        c3 = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
+        # One 1-D array per coefficient: gathering each with ``take`` is a few
+        # times faster than gathering the columns of one (4, K) table.
+        object.__setattr__(self, "_inner", k[1:-1])
+        object.__setattr__(self, "_left", k[:-1])
+        object.__setattr__(self, "_vcoef", (v[:-1], d[:-1], c2, c3))
+        object.__setattr__(self, "_dcoef", (d[:-1], 2.0 * c2, 3.0 * c3))
         s = np.linspace(0.0, knots[-1], 1001)
-        zero = bool(np.all(spline(s) == 0.0) and np.all(dspline(s) == 0.0))
-        object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_dspline", dspline)
+        zero = bool(np.all(self._horner(self._vcoef, s) == 0.0)
+                    and np.all(self._horner(self._dcoef, s) == 0.0))
         object.__setattr__(self, "_zero", zero)
+
+    def _horner(self, coef, s):
+        """Polynomial with coefficients ``coef`` (low to high) of the interval holding s,
+        at s clamped to the last knot; intervals are closed on the left."""
+        j = self._inner.searchsorted(s, side="right")
+        t = np.minimum(s, self.knots[-1])
+        t -= self._left.take(j)
+        out = np.asarray(coef[-1].take(j))  # a 0-d index takes a numpy scalar
+        for c in coef[-2::-1]:
+            out *= t
+            out += c.take(j)
+        return out
 
     def _value(self, z):
         s = np.abs(z)
         kmax = self.knots[-1]
-        inside = self._spline(np.minimum(s, kmax))
-        outside = self.values[-1] + self.derivs[-1] * (s - kmax)
-        return np.where(s <= kmax, inside, outside)
+        out = self._horner(self._vcoef, s)
+        np.copyto(out, self.values[-1] + self.derivs[-1] * (s - kmax), where=s > kmax)
+        return out
 
     def _deriv(self, z):
         s = np.abs(z)
-        kmax = self.knots[-1]
-        inside = self._dspline(np.minimum(s, kmax))
-        radial = np.where(s <= kmax, inside, self.derivs[-1])
-        return radial * np.sign(z)
+        out = self._horner(self._dcoef, s)
+        np.copyto(out, self.derivs[-1], where=s > self.knots[-1])
+        out *= np.sign(z)
+        return out
 
     def is_identically_zero(self):
         return self._zero

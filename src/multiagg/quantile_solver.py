@@ -62,8 +62,9 @@ class SolverConfig:
             raise ValueError(f"repair must be one of {REPAIRS}, got {self.repair!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if not self.record_every >= 1:
-            raise ValueError("record_every must be >= 1")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, int) or every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 
 from multiagg import cli, quantile_solver
 from multiagg.config import config_from_dict
+from multiagg.errors import ConfigError
 
 
 def pair_config(**solver):
@@ -175,3 +176,17 @@ def test_malformed_config_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "config error: initial:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("every", [2.5, True])
+def test_record_every_must_be_an_integer(every):
+    with pytest.raises(ConfigError, match="record_every"):
+        config_from_dict(pair_config(record_every=every))
+
+
+def test_verify_out_writes_the_report_and_nothing_to_stdout(tmp_path, capsys):
+    config = write(tmp_path / "run.json", pair_config())
+    out = tmp_path / "verify.json"
+    cli.main(["verify", "--config", config, "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert "checks" in json.loads(out.read_text())

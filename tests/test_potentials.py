@@ -184,3 +184,56 @@ def test_validate_flags_growth_violation():
     report = validate(pm, interval=(-5.0, 5.0), samples=501)
     assert report.flagged("W4")
     assert not report.all_passed
+
+
+def cubic_table(knots):
+    """p(s) = 0.3 + 0.5 s^2 - 0.2 s^3 (p'(0) = 0) sampled with exact derivatives."""
+    k = np.asarray(knots, dtype=float)
+    return Tabulated(tuple(k), tuple(0.3 + 0.5 * k**2 - 0.2 * k**3), tuple(k - 0.6 * k**2))
+
+
+def test_tabulated_reproduces_a_cubic():
+    tab = cubic_table([0.0, 0.3, 1.1, 1.2, 2.0, 3.0])
+    z = np.linspace(-3.0, 3.0, 2001)
+    s = np.abs(z)
+    value, deriv = 0.3 + 0.5 * s**2 - 0.2 * s**3, (s - 0.6 * s**2) * np.sign(z)
+    assert np.abs(tab.value(z) - value).max() <= 1e-13 * np.abs(value).max()
+    assert np.abs(tab.deriv(z) - deriv).max() <= 1e-13 * np.abs(deriv).max()
+
+
+def test_tabulated_takes_the_samples_at_the_knots():
+    rng = np.random.default_rng(3)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 12))])
+    values, derivs = rng.normal(size=13), np.concatenate([[0.0], rng.normal(size=12)])
+    tab = Tabulated(tuple(knots), tuple(values), tuple(derivs))
+    inner = knots[1:-1]
+    assert np.array_equal(tab.value(inner), values[1:-1])
+    assert np.array_equal(tab.deriv(inner), derivs[1:-1])
+    assert np.array_equal(tab.value(-inner), values[1:-1])
+    assert np.array_equal(tab.deriv(-inner), -derivs[1:-1])
+    left = np.nextafter(inner, 0.0)
+    assert np.abs(tab.value(left) - values[1:-1]).max() <= 1e-12
+    assert np.abs(tab.deriv(left) - derivs[1:-1]).max() <= 1e-12
+
+
+def test_tabulated_scalar_input_returns_float():
+    tab = cubic_table([0.0, 1.0, 2.0])
+    for z in (0.0, 0.7, -1.0, 2.0, 5.0, np.float64(-0.7), np.array(1.5)):
+        assert type(tab.value(z)) is float
+        assert type(tab.deriv(z)) is float
+    assert tab.value(np.array(1.5)) == tab.value(np.array([1.5]))[0]
+    assert tab.deriv(-5.0) == -tab.derivs[-1]
+
+
+def test_tabulated_matches_scipy_hermite_spline():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, 20))])
+        values, derivs = rng.normal(size=21), np.concatenate([[0.0], rng.normal(size=20)])
+        tab = Tabulated(tuple(knots), tuple(values), tuple(derivs))
+        ref = interpolate.CubicHermiteSpline(knots, values, derivs)
+        z = rng.uniform(-knots[-1], knots[-1], 4000)
+        for got, want in ((tab.value(z), ref(np.abs(z))),
+                          (tab.deriv(z), ref.derivative()(np.abs(z)) * np.sign(z))):
+            assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
