@@ -1,8 +1,9 @@
 """Command-line interface: analyze, simulate, particles, diagnose, verify.
 
-Exit codes: 0 success, 1 numeric failure during integration, 2 config error,
-3 verification failure.  All outputs are UTF-8; CSV uses '.' decimals, and
-identical config + seed reproduce bit-identical files.
+Exit codes: 0 success, 1 numeric failure during integration, 2 config error
+(also an unreadable or unwritable path), 3 verification failure.  All outputs
+are UTF-8; CSV uses '.' decimals, and identical config + seed reproduce
+bit-identical files.
 """
 
 from __future__ import annotations
@@ -220,6 +221,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         for issue in err.issues:
             print(f"config error: {issue}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        where = f"{err.filename}: " if err.filename is not None else ""
+        print(f"config error: {where}{err.strerror or err}", file=sys.stderr)
         return 2
     except NumericsError as err:
         print(f"numeric failure: {err} (witness {err.witness})", file=sys.stderr)

@@ -4,7 +4,7 @@ All quadratures use the same flat midpoint rule over the M equal-mass cells
 as the solver right-hand side, so a state is diagnosed as steady exactly when
 the solver would not move it.  Energy and force field are the pairwise engine
 ``potentials.pair_energy`` / ``pair_fields`` on the grid as weighted clouds,
-the calls both solvers make.
+the calls both solvers make; ``energy`` serves particle states as well.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .convexity import SystemParams
-from .measures import QuantileState
+from .measures import QuantileState, compound_distance, weighted_center_of_mass
 from .potentials import PotentialMatrix, pair_energy, pair_fields
 
 
@@ -53,9 +53,10 @@ class SteadyStateReport:
     tol: float
 
 
-def energy(qs: QuantileState, pm: PotentialMatrix) -> float:
-    """Interaction energy (1/2) sum_ij p_i p_j / M^2 sum_kl W_ij(u_i[k] - u_j[l])."""
-    return pair_energy(pm, *qs.clouds())
+def energy(state, pm: PotentialMatrix) -> float:
+    """(1/2) sum_ij sum_kl w_i^k w_j^l W_ij(x_i^k - x_j^l) over the clouds of a quantile
+    (w = p_i / M, x = u_i[k]) or particle state; also named ``discrete_energy``."""
+    return pair_energy(pm, *state.clouds())
 
 
 def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
@@ -67,17 +68,15 @@ def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
     return np.stack(pair_fields(pm, *qs.clouds()))[:, :, 0]
 
 
-def dissipation(qs: QuantileState, pm: PotentialMatrix) -> float:
+def dissipation(qs: QuantileState, pm: PotentialMatrix, field=None) -> float:
     """Instantaneous energy decay rate, always <= 0.
 
-    = - sum_i (m_i p_i / M) sum_k [ sum_j (p_j/M) sum_l W'_ij(u_i[k]-u_j[l]) ]^2.
+    = - sum_i (m_i p_i / M) sum_k [ sum_j (p_j/M) sum_l W'_ij(u_i[k]-u_j[l]) ]^2,
+    from ``field``, the ``force_field`` of ``qs``, when given.
     """
-    return _dissipation_of(qs, force_field(qs, pm))
-
-
-def _dissipation_of(qs: QuantileState, field: np.ndarray) -> float:
-    m, p, M = qs.params.m, qs.params.p, qs.M
-    return float(-np.sum(m * p / M * (field * field).sum(axis=1)))
+    if field is None:
+        field = force_field(qs, pm)
+    return float(-np.sum(qs.params.m * qs.params.p / qs.M * (field * field).sum(axis=1)))
 
 
 def ground_state(params: SystemParams, M: int) -> QuantileState:
@@ -127,16 +126,14 @@ def fit_decay_rate(times, values, window, predicted_rate: Optional[float] = None
 
 
 def record(qs: QuantileState, pm: PotentialMatrix, t: float,
-           ground: Optional[QuantileState] = None) -> DiagnosticsRecord:
-    """Assemble the standard per-snapshot diagnostics."""
-    from .measures import compound_distance, weighted_center_of_mass
-
+           ground: Optional[QuantileState] = None, field=None) -> DiagnosticsRecord:
+    """Assemble the standard per-snapshot diagnostics; ``field`` as in ``dissipation``."""
     lo, hi, diam = support_and_diameter(qs)
     w2 = compound_distance(qs, ground) if ground is not None else None
     return DiagnosticsRecord(
         t=float(t),
         energy=energy(qs, pm),
-        dissipation=dissipation(qs, pm),
+        dissipation=dissipation(qs, pm, field),
         E_invariant=weighted_center_of_mass(qs),
         supp_lo=lo,
         supp_hi=hi,
@@ -156,7 +153,7 @@ def steady_state_check(trajectory, pm: PotentialMatrix, tol: float = 1e-8) -> St
         raise ValueError("trajectory is empty")
     qs = trajectory.states[-1]
     field = force_field(qs, pm)
-    dis = _dissipation_of(qs, field)
+    dis = dissipation(qs, pm, field)
     en = energy(qs, pm)
     residuals = np.abs(field).max(axis=1)
     verdict = bool(abs(dis) < tol * (1.0 + abs(en)))

@@ -51,8 +51,11 @@ class QuantileState:
         return bool(np.all(np.diff(self.u, axis=1) >= 0.0))
 
     def clouds(self):
-        """The species as weighted point clouds (see ``grid_clouds``)."""
-        return grid_clouds(self.u, self.params.p)
+        """The grid as clouds (n, M, 1) of M points of weight p_i / M each."""
+        return self.u[:, :, None], np.repeat((self.params.p / self.M)[:, None], self.M, axis=1)
+
+    def with_clouds(self, xs) -> "QuantileState":
+        return self.with_u(np.stack(xs)[:, :, 0])
 
     def with_u(self, u: np.ndarray) -> "QuantileState":
         return QuantileState(u, self.params)
@@ -109,18 +112,12 @@ class ParticleState:
         """Per-species (positions, masses) as weighted point clouds."""
         return self.positions, self.masses
 
-    def with_positions(self, positions) -> "ParticleState":
+    def with_clouds(self, positions) -> "ParticleState":
         return ParticleState(positions, self.masses, self.params)
 
     def copy(self) -> "ParticleState":
         return ParticleState([x.copy() for x in self.positions],
                              [w.copy() for w in self.masses], self.params)
-
-
-def grid_clouds(u: np.ndarray, p: np.ndarray):
-    """Quantile grid u (n, M) as clouds (n, M, 1) of M points of weight p_i / M each."""
-    M = u.shape[1]
-    return u[:, :, None], np.repeat((p / M)[:, None], M, axis=1)
 
 
 def equal_mass_particles(positions: Sequence, params: SystemParams) -> ParticleState:

@@ -12,11 +12,11 @@ the call the particle solver makes, so both agree bit-exactly on such data.
 
 Explicit schemes only (forward Euler and classical RK4): the velocity field
 is bounded and Lipschitz on bounded states, so a step-size bound derived from
-the gradient growth estimate keeps integration stable.  The step schedule,
-Euler/RK4 driver and ``stable_dt`` serve both solvers.  Monotonicity of the
-quantile vectors is preserved by the continuous flow but can be crossed by a
-discrete step; per-species sorting is the metric projection back onto the
-monotone cone and is a no-op when nothing crossed.
+the gradient growth estimate keeps integration stable.  One time loop,
+``_integrate``, serves both solvers.  Monotonicity of the quantile vectors is
+preserved by the continuous flow but can be crossed by a discrete step;
+per-species sorting is the metric projection back onto the monotone cone and
+is a no-op when nothing crossed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ import numpy as np
 from . import diagnostics
 from .convexity import modulus
 from .errors import NumericsError
-from .measures import QuantileState, grid_clouds
-from .potentials import _TILE, PotentialMatrix, estimate_growth_bound, pair_fields
+from .measures import QuantileState
+from .potentials import (_TILE, PotentialMatrix, _grad_block, estimate_growth_bound,
+                         pair_fields)
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -92,39 +93,40 @@ class Trajectory:
         return np.array([r.t for r in self.records]), np.array(vals)
 
 
-def _velocity(u: np.ndarray, pm: PotentialMatrix, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    fields = pair_fields(pm, *grid_clouds(u, p))
-    return -m[:, None] * np.stack(fields)[:, :, 0]
+def _velocity(xs, ws, pm: PotentialMatrix, m: np.ndarray, field=None) -> list:
+    """Velocities -m_i F_i of weighted clouds, F from ``pair_fields`` unless given.
+
+    A non-finite velocity raises NumericsError with the witness of ``xs``.
+    """
+    if pm.n != len(xs):
+        raise ValueError(f"matrix is {pm.n}x{pm.n} but state has n={len(xs)} species")
+    v = [-m[i] * f for i, f in enumerate(pair_fields(pm, xs, ws) if field is None else field)]
+    if not all(np.all(np.isfinite(a)) for a in v):
+        raise NumericsError("non-finite velocity", witness=_nonfinite_witness(xs, pm))
+    return v
 
 
-def _nonfinite_witness(u: np.ndarray, pm: PotentialMatrix) -> dict:
-    """First (i, j, k, l) in row-major order with non-finite W'_ij(u_j[l] - u_i[k]), in row tiles."""
-    n, M = u.shape
-    rows = max(1, _TILE // M)
-    for i in range(n):
-        for j in range(n):
-            for k0 in range(0, M, rows):
-                g = pm.entries[i][j].deriv(u[j][None, :] - u[i][k0:k0 + rows, None])
-                bad = np.argwhere(~np.isfinite(g))
-                if bad.size:
-                    k, l = map(int, bad[0])
-                    return {"i": i, "j": j, "k": k0 + k, "l": l}
-    bad = np.argwhere(~np.isfinite(u))
-    if bad.size:
-        i, k = map(int, bad[0])
-        return {"i": i, "k": k}
+def _nonfinite_witness(xs, pm: PotentialMatrix) -> dict:
+    """First (i, j, k, l) in row-major order with non-finite grad W_ij(xs[i][k] - xs[j][l]),
+    scanned in row tiles; else the first non-finite point (i, k); else {}."""
+    for i, j in np.ndindex(pm.n, pm.n):
+        rows = max(1, _TILE // len(xs[j]))
+        for k0 in range(0, len(xs[i]), rows):
+            g = _grad_block(pm.entries[i][j], xs[i][k0:k0 + rows], xs[j])
+            bad = np.argwhere(~np.isfinite(g).all(axis=1))
+            if bad.size:
+                k, l = map(int, bad[0])
+                return {"i": i, "j": j, "k": k0 + k, "l": l}
+    for i, x in enumerate(xs):
+        bad = np.argwhere(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            return {"i": i, "k": int(bad[0][0])}
     return {}
 
 
 def rhs(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
     """Velocity grid v_i[k] = m_i sum_j p_j (1/M) sum_l W'_ij(u_j[l] - u_i[k])."""
-    if pm.n != qs.n:
-        raise ValueError(f"matrix is {pm.n}x{pm.n} but state has n={qs.n} species")
-    v = _velocity(qs.u, pm, qs.params.m, qs.params.p)
-    if not np.all(np.isfinite(v)):
-        raise NumericsError("non-finite velocity in quantile dynamics",
-                            witness=_nonfinite_witness(qs.u, pm))
-    return v
+    return np.stack(_velocity(*qs.clouds(), pm, qs.params.m))[:, :, 0]
 
 
 def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2, cap: float = 1.0) -> float:
@@ -151,9 +153,10 @@ def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2, cap: float = 
     return min(cfl_safety / rate, cap)
 
 
-def _explicit_step(f, xs: list, dt: float, scheme: str) -> list:
-    """One forward Euler or classical RK4 step of x' = f(x) on a list of arrays."""
-    k1 = f(xs)
+def _explicit_step(f, xs: list, dt: float, scheme: str, k1=None) -> list:
+    """Forward Euler or classical RK4 step of x' = f(x) on a list of arrays; k1 = f(xs) if known."""
+    if k1 is None:
+        k1 = f(xs)
     if scheme == "euler":
         return [x + dt * a for x, a in zip(xs, k1)]
     k2 = f([x + 0.5 * dt * a for x, a in zip(xs, k1)])
@@ -176,26 +179,50 @@ def _step_schedule(cfg: SolverConfig, dt: float):
         yield h, t, k % cfg.record_every == 0 or k == total_steps
 
 
-def step(qs: QuantileState, pm: PotentialMatrix, cfg: SolverConfig,
-         dt: Optional[float] = None):
-    """One explicit step; returns (new state, StepInfo).
+def _resolve_dt(state, pm: PotentialMatrix, cfg: SolverConfig) -> float:
+    return cfg.dt if cfg.dt is not None else stable_dt(state, pm, cfg.cfl_safety)
 
-    With repair="sort" each species is re-sorted ascending afterwards (a
-    no-op unless the step crossed cells); with repair="none" a crossing is
-    reported in the StepInfo, not fatal.
+
+def _sort_repair(qs: QuantileState, cfg: SolverConfig):
+    """Report a crossing of cells; with repair="sort", sort each species ascending."""
+    violated = bool(np.any(np.diff(qs.u, axis=1) < 0.0))
+    repaired = violated and cfg.repair == "sort"
+    return (qs.with_u(np.sort(qs.u, axis=1)) if repaired else qs), StepInfo(violated, repaired)
+
+
+def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = None,
+         field=None, project=_sort_repair):
+    """One explicit step of a quantile or particle state; returns ``project(new state, cfg)``.
+
+    ``field``, the engine field at ``state`` before the -m factor, is the
+    first stage.  The default projection reports a crossing of a quantile
+    state in the StepInfo and, with repair="sort", sorts it away.
     """
     if dt is None:
-        dt = cfg.dt if cfg.dt is not None else stable_dt(qs, pm, cfg.cfl_safety)
-    [u1] = _explicit_step(lambda xs: [_velocity(xs[0], pm, qs.params.m, qs.params.p)],
-                          [qs.u], dt, cfg.scheme)
-    if not np.all(np.isfinite(u1)):
+        dt = _resolve_dt(state, pm, cfg)
+    xs, ws = state.clouds()
+    m = state.params.m
+    xs1 = _explicit_step(lambda ys: _velocity(ys, ws, pm, m), list(xs), dt, cfg.scheme,
+                         None if field is None else _velocity(xs, ws, pm, m, field))
+    if not all(np.all(np.isfinite(x)) for x in xs1):
         raise NumericsError(f"non-finite state after step of dt={dt}",
-                            witness=_nonfinite_witness(qs.u, pm))
-    violated = bool(np.any(np.diff(u1, axis=1) < 0.0))
-    repaired = violated and cfg.repair == "sort"
-    if repaired:
-        u1 = np.sort(u1, axis=1)
-    return qs.with_u(u1), StepInfo(violated, repaired)
+                            witness=_nonfinite_witness(xs1, pm))
+    return project(state.with_clouds(xs1), cfg)
+
+
+def _integrate(state, pm: PotentialMatrix, cfg: SolverConfig, traj, project, record):
+    """The time loop of both solvers, steps of ``traj.dt`` each followed by ``project`` (see
+    ``step``).  ``record(state, t)`` stores the state at t = 0 and at each due time in
+    ``traj`` and returns the engine field there, or None, for the next step."""
+    field = record(state, 0.0)
+    for h, t, due in _step_schedule(cfg, traj.dt):
+        try:
+            state, _ = step(state, pm, cfg, h, field, project)
+        except NumericsError as err:
+            err.partial = traj
+            raise
+        field = record(state, t) if due else None
+    return traj
 
 
 def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
@@ -204,24 +231,23 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
     On a numeric failure the partial trajectory is attached to the raised
     NumericsError.  The recorded diagnostics include the compound distance to
     the concentrated ground state whenever the convexity modulus is positive.
+    A recorded state's force field serves its dissipation and the next step.
     """
-    dt = cfg.dt if cfg.dt is not None else stable_dt(qs0, pm, cfg.cfl_safety)
+    traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(qs0, pm, cfg))
     positive = modulus(pm.kappa, qs0.params) > 0.0
     ground = diagnostics.ground_state(qs0.params, qs0.M) if positive else None
 
-    traj = Trajectory(times=[0.0], states=[qs0],
-                      records=[diagnostics.record(qs0, pm, 0.0, ground)], dt=dt)
-    qs = qs0
-    for this_dt, t, due in _step_schedule(cfg, dt):
-        try:
-            qs, info = step(qs, pm, cfg, dt=this_dt)
-        except NumericsError as err:
-            err.partial = traj
-            raise
+    def project(qs, cfg):
+        qs, info = _sort_repair(qs, cfg)
         traj.monotonicity_violations += info.monotonicity_violated
         traj.repair_events += info.repair_applied
-        if due:
-            traj.times.append(t)
-            traj.states.append(qs)
-            traj.records.append(diagnostics.record(qs, pm, t, ground))
-    return traj
+        return qs, info
+
+    def record(qs, t):
+        field = diagnostics.force_field(qs, pm)
+        traj.times.append(t)
+        traj.states.append(qs)
+        traj.records.append(diagnostics.record(qs, pm, t, ground, field))
+        return field[:, :, None]
+
+    return _integrate(qs0, pm, cfg, traj, project, record)

@@ -190,3 +190,18 @@ def test_verify_out_writes_the_report_and_nothing_to_stdout(tmp_path, capsys):
     cli.main(["verify", "--config", config, "--out", str(out)])
     assert capsys.readouterr().out == ""
     assert "checks" in json.loads(out.read_text())
+
+
+def test_diagnose_missing_trajectory_is_a_config_error(tmp_path, capsys):
+    config = write(tmp_path / "run.json", pair_config())
+    missing = str(tmp_path / "missing.csv")
+    assert cli.main(["diagnose", "--traj", missing, "--config", config]) == 2
+    assert f"config error: {missing}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "particles", "analyze", "verify"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    config = write(tmp_path / "run.json", pair_config())
+    out = str(tmp_path / "no_such_dir" / "out.csv")
+    assert cli.main([command, "--config", config, "--out", out]) == 2
+    assert f"config error: {out}: " in capsys.readouterr().err

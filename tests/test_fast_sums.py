@@ -101,9 +101,9 @@ def test_quantile_sums_match_direct(n, mixed, offset):
     pm = random_matrix(rng, n, mixed)
     oracle = as_direct(pm)
     qs = quantile_state(rng, n, 48, offset)
-    m, p = qs.params.m, qs.params.p
-    assert_oracle_close(quantile_solver._velocity(qs.u, pm, m, p),
-                        quantile_solver._velocity(qs.u, oracle, m, p))
+    m = qs.params.m
+    assert_oracle_close(quantile_solver._velocity(*qs.clouds(), pm, m),
+                        quantile_solver._velocity(*qs.clouds(), oracle, m))
     assert_oracle_close(diagnostics.force_field(qs, pm), diagnostics.force_field(qs, oracle))
     assert_oracle_close(diagnostics.energy(qs, pm), diagnostics.energy(qs, oracle))
 
@@ -115,8 +115,8 @@ def test_particle_sums_match_direct(n, mixed, offset, d):
     pm = random_matrix(rng, n, mixed)
     oracle = as_direct(pm)
     ps = particle_state(rng, n, d, offset)
-    fast = particle_solver._velocities(ps.positions, ps.masses, pm, ps.params.m)
-    direct = particle_solver._velocities(ps.positions, ps.masses, oracle, ps.params.m)
+    fast = quantile_solver._velocity(ps.positions, ps.masses, pm, ps.params.m)
+    direct = quantile_solver._velocity(ps.positions, ps.masses, oracle, ps.params.m)
     for a, b in zip(fast, direct):
         assert_oracle_close(a, b)
     assert_oracle_close(particle_solver.discrete_energy(ps, pm),
@@ -138,11 +138,11 @@ def test_quadratic_entries_never_evaluated_pointwise():
     pm = mg.matrix_from_entries([[_NoPointwise(2.0), _NoPointwise(-0.5)],
                                  [None, _NoPointwise(1.0)]], kappa=np.zeros((2, 2)))
     qs = quantile_state(rng, 2, 16, 0.0)
-    quantile_solver._velocity(qs.u, pm, qs.params.m, qs.params.p)
+    quantile_solver._velocity(*qs.clouds(), pm, qs.params.m)
     diagnostics.force_field(qs, pm)
     diagnostics.energy(qs, pm)
     ps = particle_state(rng, 2, 2, 0.0)
-    particle_solver._velocities(ps.positions, ps.masses, pm, ps.params.m)
+    quantile_solver._velocity(ps.positions, ps.masses, pm, ps.params.m)
     particle_solver.discrete_energy(ps, pm)
 
 

@@ -71,7 +71,7 @@ def test_nonfinite_witness_is_the_first_in_row_major_order(monkeypatch, tile):
                                 kappa=np.zeros((2, 2)))
     u = np.array([[-1.0, 0.0, 1.0, 50.0], [0.0, 0.1, 0.2, 0.3]])
     with np.errstate(over="ignore", invalid="ignore"):
-        witness = quantile_solver._nonfinite_witness(u, pm)
+        witness = quantile_solver._nonfinite_witness(u[:, :, None], pm)
     assert witness == {"i": 0, "j": 1, "k": 3, "l": 0}
 
 

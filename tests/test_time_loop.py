@@ -1,0 +1,111 @@
+"""The one time loop behind both solvers: engine passes per run and where a blow-up is located.
+
+A recorded quantile state's force field serves its dissipation and the first
+stage of the next step, so an RK4 run of S steps evaluates the engine 4S + 1
+times whatever its record interval; particle runs record energies only and
+take 4S.  A non-finite velocity is caught at the stage that produced it and
+named by the first interacting pair (i, j, k, l) that overflows.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import multiagg as mg
+from multiagg import potentials
+from multiagg.measures import particles_from_quantile
+from multiagg.quantile_solver import SolverConfig, run
+
+
+def count_engine_passes(monkeypatch):
+    """Wrap pair_fields in every multiagg module that holds it; returns the call counter."""
+    calls = [0]
+    original = potentials.pair_fields
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("multiagg") and getattr(module, "pair_fields", None) is original:
+            monkeypatch.setattr(module, "pair_fields", counted)
+    return calls
+
+
+def two_species():
+    pm = mg.matrix_from_entries([[mg.GaussianAR(1.0, 1.0, 0.5, 0.3), mg.Quadratic(0.5)],
+                                 [None, mg.Power(3.0, 0.5)]], kappa=np.zeros((2, 2)))
+    params = mg.SystemParams(m=[1.0, 0.7], p=[1.0, 1.3], E=[0.0])
+    rng = np.random.default_rng(3)
+    return mg.QuantileState(np.sort(rng.normal(0.0, 1.0, (2, 24)), axis=1), params), pm
+
+
+STEPS = 10
+
+
+@pytest.mark.parametrize("every", [1, 5])
+def test_rk4_run_evaluates_the_engine_4s_plus_1_times(monkeypatch, every):
+    qs, pm = two_species()
+    calls = count_engine_passes(monkeypatch)
+    traj = run(qs, pm, SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="rk4",
+                                    record_every=every))
+    assert len(traj.records) == STEPS // every + 1
+    assert calls[0] == 4 * STEPS + 1
+
+
+def test_euler_run_evaluates_the_engine_s_plus_1_times(monkeypatch):
+    qs, pm = two_species()
+    calls = count_engine_passes(monkeypatch)
+    run(qs, pm, SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="euler", record_every=3))
+    assert calls[0] == STEPS + 1
+
+
+def test_particle_run_evaluates_the_engine_4s_times(monkeypatch):
+    qs, pm = two_species()
+    calls = count_engine_passes(monkeypatch)
+    mg.run_particles(particles_from_quantile(qs), pm,
+                     SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="rk4", record_every=1))
+    assert calls[0] == 4 * STEPS
+
+
+def test_reused_field_leaves_the_trajectory_unchanged():
+    # The same steps taken one at a time, each from a freshly evaluated first stage.
+    qs, pm = two_species()
+    cfg = SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="rk4", record_every=1)
+    traj = run(qs, pm, cfg)
+    state = qs
+    for k in range(STEPS):
+        state, _ = mg.step(state, pm, cfg)
+        assert np.array_equal(state.u, traj.states[k + 1].u)
+        rec = mg.diagnostics.record(state, pm, traj.times[k + 1])
+        assert rec.dissipation == traj.records[k + 1].dissipation
+
+
+def blowup():
+    pm = mg.matrix_from_entries([[mg.Power(q=6.0, a=-1e4)]], kappa=[[0.0]])
+    qs = mg.QuantileState(np.array([[-1.0, 1.0]]), mg.SystemParams(m=[1.0], p=[1.0], E=[0.0]))
+    return qs, pm
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_quantile_blowup_names_the_pair(scheme):
+    qs, pm = blowup()
+    cfg = SolverConfig(dt=0.5, t_end=5.0, scheme=scheme, repair="none")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mg.NumericsError) as exc:
+            run(qs, pm, cfg)
+    # The stage that overflows sees finite points; the pair (k=0, l=1) is its first overflow.
+    assert exc.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
+    assert exc.value.partial.times[0] == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_particle_blowup_names_the_pair(scheme):
+    qs, pm = blowup()
+    cfg = SolverConfig(dt=0.5, t_end=5.0, scheme=scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mg.NumericsError) as exc:
+            mg.run_particles(particles_from_quantile(qs), pm, cfg)
+    assert exc.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
+    assert exc.value.partial.times[0] == 0.0
