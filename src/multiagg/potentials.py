@@ -13,16 +13,27 @@ analysis.
 
 ``pair_fields`` / ``pair_energy`` are the one pairwise-interaction engine of
 both solvers and the diagnostics: each species pair once, zero entries
-skipped, ``Quadratic`` by moments, other kinds summed directly in bounded row
-tiles (on the signed displacement in d=1, radially in d > 1).  A diagonal
-pair (i, i) takes the kernel's self path (``self_fields`` / ``self_energy``),
-which evaluates each unordered pair of points once: row tiles sweep the upper
-triangle, and the reverse field negates the same block, bit-exactly as W' is
-odd.  Off-diagonal pairs take ``cloud_fields`` / ``cloud_energy``.
+skipped.  A diagonal pair (i, i) takes the kernel's ``self_fields`` /
+``self_energy``, an off-diagonal pair ``cloud_fields`` / ``cloud_energy``.
+Three ways to sum a pair:
+
+* ``Quadratic``, in any d: closed form from each cloud's mass, mean and
+  variance.
+* In d = 1, ``Tabulated``, ``DoubleWell`` and ``Power`` with integer q <= 4,
+  whose profiles are polynomial pieces in |z| (``_Profile``): exactly, from
+  moments of the source cloud about one of its points.  Even polynomials in z
+  (``DoubleWell``, q = 2 and 4) take whole-cloud moments; the others sort
+  the source once and take prefix moments over the windows that each
+  target's knots cut out, found by ``searchsorted``.
+* Every other kind or d: directly in bounded row tiles (on the signed
+  displacement in d = 1, radially in d > 1).  The self path evaluates each
+  unordered pair of points once: row tiles sweep the upper triangle, and the
+  reverse field negates the same block, bit-exactly as W' is odd.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -233,9 +244,168 @@ def _weighted_var(x, w, total, center) -> float:
     return float(w @ (dev * dev).sum(axis=1)) / total
 
 
+class _Profile:
+    """A kernel profile as polynomial pieces, summed exactly over a cloud in d = 1.
+
+    Piece j covers s = |z| in [starts[j], starts[j+1]), closed on the left like
+    ``Tabulated._horner``; the last piece is unbounded.  It is a polynomial in
+    t = s - starts[j] with coefficients (low to high) ``value[j]`` for W and
+    ``deriv[j]`` for the radial W'.  With ``even``, the profile is one
+    polynomial in z itself (value and derivative), which needs no split.
+
+    A sum over sources y_l takes their moments M_s = sum_l w_l Y_l^s in
+    Y = y - c, c a point of the cloud, over windows: the sources of one piece on
+    one side of the target, or the whole cloud for an even profile.  Windows
+    run over the left side's pieces from last to first, then the right side's
+    from first to last.
+    """
+
+    def __init__(self, starts, value, deriv, even=False):
+        self.starts = np.asarray(starts, dtype=float)
+        self.even = even
+        self.value = self._expansion(np.atleast_2d(value), odd=False)
+        self.deriv = self._expansion(np.atleast_2d(deriv), odd=True)
+        self._left = -self.starts[::-1, None]  # x - b_j, last piece first
+        self._right = self.starts[1:, None]
+
+    def _expansion(self, coef, odd):
+        """H (D, D, windows) with sum_l w_l P(x - y_l) = sum_k X^k sum_sj H[k, s, j] M_sj,
+        X = x - c, for moments M_sj of window j.
+
+        In a window on side sigma (+1 for y <= x, -1 right of it) with start b,
+        t = sigma (X - Y) - b; the right side feeds the odd W' negated (rho).
+        Expanding t^r multinomially, H[k, s] = rho sigma^k (-sigma)^s
+        sum_m (k + s + m)! / (k! s! m!) P_{k+s+m} (-b)^m.
+        """
+        D = coef.shape[1]
+        if self.even:
+            sigma, b, rho = np.ones(1), np.zeros(1), np.ones(1)
+        else:
+            coef = np.concatenate([coef[::-1], coef])
+            sigma = np.repeat([1.0, -1.0], len(self.starts))
+            b = np.concatenate([self.starts[::-1], self.starts])
+            rho = np.where(sigma < 0.0, -1.0, 1.0) if odd else np.ones_like(sigma)
+        H = np.zeros((D, D, len(b)))
+        for k in range(D):
+            for s in range(D - k):
+                for m in range(D - k - s):
+                    multinomial = math.factorial(k + s + m) // (
+                        math.factorial(k) * math.factorial(s) * math.factorial(m))
+                    H[k, s] += multinomial * coef[:, k + s + m] * (-b) ** m
+                H[k, s] *= rho * sigma ** k * (-sigma) ** s
+        return H
+
+    def sums(self, H, x, y, w) -> np.ndarray:
+        """sum_l w_l P(x_k - y_l) for each x_k, P = W (H = self.value) or W' (self.deriv).
+
+        ``x`` (N, 1) are the targets, ``y`` (L, 1) the sources with weights ``w``;
+        returns (N,).  Coincident points give an exactly zero field, as c is a
+        point of y.  The (windows, targets) tables are built in tiles of at
+        most ``_TILE`` entries.
+        """
+        D = H.shape[0]
+        y0, w0 = y[:, 0], w
+        if not self.even:
+            order = y0.argsort()
+            y0, w0 = y0[order], w0[order]
+        c = y0[len(y0) // 2]
+        Y = y0 - c
+        X = x[:, 0] - c
+        powers = np.empty((D, len(Y)))
+        powers[0] = w0
+        for r in range(1, D):
+            np.multiply(powers[r - 1], Y, out=powers[r])
+        if self.even:
+            return _horner_rows(H[:, :, 0] @ powers.sum(axis=1), X)
+        S = _prefix_sums(powers)
+        # A piece that starts beyond the largest target-source distance holds
+        # no pair.  Dropping such pieces leaves the last one kept unbounded,
+        # which changes no window.
+        span = max(X.max(), Y[-1]) - min(X.min(), Y[0])
+        K = int(self.starts.searchsorted(span, side="right"))
+        K0 = len(self.starts) - K
+        H = H[:, :, K0:K0 + 2 * K].reshape(D, -1)
+        left, right = self._left[K0:], self._right[:K - 1]
+        out = np.empty(len(X))
+        cols = max(1, _TILE // (2 * K + 1))
+        for k0 in range(0, len(X), cols):
+            Xt = X[k0:k0 + cols]
+            # Window edges as indices into Y: y <= x - b_j (s >= b_j on the left),
+            # then y >= x + b_j (right; y > x for the first piece).
+            edges = np.empty((2 * K + 1, len(Xt)), dtype=np.intp)
+            edges[0] = 0
+            edges[1:K + 1] = Y.searchsorted(Xt + left, side="right")
+            edges[K + 1:-1] = Y.searchsorted(Xt + right, side="left")
+            edges[-1] = len(Y)
+            at = S.take(edges, axis=1)
+            out[k0:k0 + cols] = _horner_rows(H @ (at[:, 1:] - at[:, :-1]).reshape(-1, len(Xt)), Xt)
+        return out
+
+
+def _horner_rows(E, X):
+    """sum_k E[k] X^k for E (D,) or (D, N), D >= 2, against X (N,)."""
+    out = E[-1] * X
+    for e in E[-2:0:-1]:
+        out += e
+        out *= X
+    out += E[0]
+    return out
+
+
+def _prefix_sums(v: np.ndarray) -> np.ndarray:
+    """Prefix sums (D, L + 1) of the rows of v (D, L), from 0, in blocks of about sqrt(L).
+
+    A running sum's rounding error grows like L eps; summing within blocks and
+    then across block totals keeps it near 2 sqrt(L) eps.
+    """
+    D, L = v.shape
+    B = max(1, math.isqrt(L))
+    nb = -(-L // B)
+    S = np.zeros((D, nb * B + 1))
+    S[:, 1:L + 1] = v
+    blocks = S[:, 1:].reshape(D, nb, B)  # a view: only the unit-stride axis is split
+    np.cumsum(blocks, axis=2, out=blocks)
+    blocks[:, 1:] += blocks[:, :-1, -1:].cumsum(axis=1)
+    return S[:, :L + 1]
+
+
+class _PiecewisePolynomial(ScalarPotential):
+    """A kind whose instances may carry a ``_Profile``: in d = 1 those are summed
+    exactly by moments, in O((N + L) K log L) for K pieces; others directly."""
+
+    _profile = None
+
+    def _by_moments(self, x) -> bool:
+        return self._profile is not None and x.shape[1] == 1
+
+    def cloud_fields(self, x, wx, y, wy):
+        if not self._by_moments(x):
+            return super().cloud_fields(x, wx, y, wy)
+        p = self._profile
+        return p.sums(p.deriv, x, y, wy)[:, None], p.sums(p.deriv, y, x, wx)[:, None]
+
+    def cloud_energy(self, x, wx, y, wy) -> float:
+        if not self._by_moments(x):
+            return super().cloud_energy(x, wx, y, wy)
+        return float(wx @ self._profile.sums(self._profile.value, x, y, wy))
+
+    def self_fields(self, x, w):
+        if not self._by_moments(x):
+            return super().self_fields(x, w)
+        return self._profile.sums(self._profile.deriv, x, x, w)[:, None]
+
+    def self_energy(self, x, w) -> float:
+        if not self._by_moments(x):
+            return super().self_energy(x, w)
+        return float(w @ self._profile.sums(self._profile.value, x, x, w))
+
+
 @dataclass(frozen=True)
-class Power(ScalarPotential):
-    """W(z) = a |z|^q with q > 1 (q > 1 keeps the kernel C1 at the origin)."""
+class Power(_PiecewisePolynomial):
+    """W(z) = a |z|^q with q > 1 (q > 1 keeps the kernel C1 at the origin).
+
+    Integer q <= 4 is a polynomial in |z|, even in z for q = 2 and 4.
+    """
 
     q: float
     a: float
@@ -243,6 +413,12 @@ class Power(ScalarPotential):
     def __post_init__(self):
         if not self.q > 1.0:
             raise ValueError(f"Power exponent must exceed 1 for C1 regularity, got q={self.q}")
+        if self.q in (2.0, 3.0, 4.0):
+            q = int(self.q)
+            value = np.zeros(q + 1)
+            value[q] = self.a
+            object.__setattr__(self, "_profile", _Profile(
+                [0.0], value, value[1:] * np.arange(1, q + 1), even=q % 2 == 0))
 
     def _value(self, z):
         return self.a * np.abs(z) ** self.q
@@ -322,11 +498,16 @@ class GaussianAR(ScalarPotential):
 
 
 @dataclass(frozen=True)
-class DoubleWell(ScalarPotential):
+class DoubleWell(_PiecewisePolynomial):
     """W(z) = a z^4 - b z^2: repulsive near the origin, attractive far out."""
 
     a: float
     b: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "_profile", _Profile(
+            [0.0], [0.0, 0.0, -self.b, 0.0, self.a], [0.0, -2.0 * self.b, 0.0, 4.0 * self.a],
+            even=True))
 
     def _value(self, z):
         z2 = z * z
@@ -341,7 +522,7 @@ class DoubleWell(ScalarPotential):
 
 
 @dataclass(frozen=True)
-class Tabulated(ScalarPotential):
+class Tabulated(_PiecewisePolynomial):
     """Cubic-Hermite kernel from (knot, value, derivative) samples at z >= 0.
 
     Only the nonnegative half-line is stored; negative displacements are
@@ -380,6 +561,11 @@ class Tabulated(ScalarPotential):
         object.__setattr__(self, "_left", k[:-1])
         object.__setattr__(self, "_vcoef", (v[:-1], d[:-1], c2, c3))
         object.__setattr__(self, "_dcoef", (d[:-1], 2.0 * c2, 3.0 * c3))
+        tail = np.zeros((1, 4))
+        tail[0, :2] = v[-1], d[-1]
+        object.__setattr__(self, "_profile", _Profile(
+            k, np.vstack([np.stack(self._vcoef, axis=1), tail]),
+            np.vstack([np.stack(self._dcoef, axis=1), tail[:, 1:]])))
         s = np.linspace(0.0, knots[-1], 1001)
         zero = bool(np.all(self._horner(self._vcoef, s) == 0.0)
                     and np.all(self._horner(self._dcoef, s) == 0.0))

@@ -35,6 +35,9 @@ from .potentials import (_TILE, PotentialMatrix, _grad_block, estimate_growth_bo
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
+# Engine passes whose result is checked run quietly: a non-finite value there
+# raises NumericsError with a witness, so numpy's warning would only repeat it.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 @dataclass
@@ -100,7 +103,8 @@ def _velocity(xs, ws, pm: PotentialMatrix, m: np.ndarray, field=None) -> list:
     """
     if pm.n != len(xs):
         raise ValueError(f"matrix is {pm.n}x{pm.n} but state has n={len(xs)} species")
-    v = [-m[i] * f for i, f in enumerate(pair_fields(pm, xs, ws) if field is None else field)]
+    with np.errstate(**_QUIET):
+        v = [-m[i] * f for i, f in enumerate(pair_fields(pm, xs, ws) if field is None else field)]
     if not all(np.all(np.isfinite(a)) for a in v):
         raise NumericsError("non-finite velocity", witness=_nonfinite_witness(xs, pm))
     return v
@@ -112,7 +116,8 @@ def _nonfinite_witness(xs, pm: PotentialMatrix) -> dict:
     for i, j in np.ndindex(pm.n, pm.n):
         rows = max(1, _TILE // len(xs[j]))
         for k0 in range(0, len(xs[i]), rows):
-            g = _grad_block(pm.entries[i][j], xs[i][k0:k0 + rows], xs[j])
+            with np.errstate(**_QUIET):
+                g = _grad_block(pm.entries[i][j], xs[i][k0:k0 + rows], xs[j])
             bad = np.argwhere(~np.isfinite(g).all(axis=1))
             if bad.size:
                 k, l = map(int, bad[0])
@@ -202,8 +207,9 @@ def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = No
         dt = _resolve_dt(state, pm, cfg)
     xs, ws = state.clouds()
     m = state.params.m
-    xs1 = _explicit_step(lambda ys: _velocity(ys, ws, pm, m), list(xs), dt, cfg.scheme,
-                         None if field is None else _velocity(xs, ws, pm, m, field))
+    with np.errstate(**_QUIET):
+        xs1 = _explicit_step(lambda ys: _velocity(ys, ws, pm, m), list(xs), dt, cfg.scheme,
+                             None if field is None else _velocity(xs, ws, pm, m, field))
     if not all(np.all(np.isfinite(x)) for x in xs1):
         raise NumericsError(f"non-finite state after step of dt={dt}",
                             witness=_nonfinite_witness(xs1, pm))
@@ -213,15 +219,18 @@ def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = No
 def _integrate(state, pm: PotentialMatrix, cfg: SolverConfig, traj, project, record):
     """The time loop of both solvers, steps of ``traj.dt`` each followed by ``project`` (see
     ``step``).  ``record(state, t)`` stores the state at t = 0 and at each due time in
-    ``traj`` and returns the engine field there, or None, for the next step."""
+    ``traj`` and returns the engine field there, or None, for the next step.  A
+    returned field is checked like a velocity, the last one after the loop."""
     field = record(state, 0.0)
-    for h, t, due in _step_schedule(cfg, traj.dt):
-        try:
+    try:
+        for h, t, due in _step_schedule(cfg, traj.dt):
             state, _ = step(state, pm, cfg, h, field, project)
-        except NumericsError as err:
-            err.partial = traj
-            raise
-        field = record(state, t) if due else None
+            field = record(state, t) if due else None
+        if field is not None:  # no step takes the last field as its first stage
+            _velocity(*state.clouds(), pm, state.params.m, field)
+    except NumericsError as err:
+        err.partial = traj
+        raise
     return traj
 
 
@@ -244,7 +253,9 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
         return qs, info
 
     def record(qs, t):
-        field = diagnostics.force_field(qs, pm)
+        # The loop checks the field; the other recorded values are not checked.
+        with np.errstate(**_QUIET):
+            field = diagnostics.force_field(qs, pm)
         traj.times.append(t)
         traj.states.append(qs)
         traj.records.append(diagnostics.record(qs, pm, t, ground, field))

@@ -7,7 +7,7 @@ skipped with a reason, never failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,7 +109,8 @@ def _contraction(cfg, traj, modulus) -> CheckResult:
                            "lambda0 <= 0: the contraction bound is not informative")
     other0 = _perturbed_initial(cfg.initial_quantile)
     try:
-        other = quantile_solver.run(other0, cfg.potential, cfg.solver)
+        # The companion takes the main run's step, so both record the same times.
+        other = quantile_solver.run(other0, cfg.potential, replace(cfg.solver, dt=traj.dt))
     except NumericsError as err:
         return CheckResult("contraction", "fail", f"companion run failed: {err}")
     d0 = measures.compound_distance(cfg.initial_quantile, other0)

@@ -205,3 +205,25 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     out = str(tmp_path / "no_such_dir" / "out.csv")
     assert cli.main([command, "--config", config, "--out", out]) == 2
     assert f"config error: {out}: " in capsys.readouterr().err
+
+
+def test_numeric_failure_prints_one_line_and_no_numpy_warning(tmp_path):
+    # Power with q = 6 is summed directly, and its tiles overflow before the
+    # checked velocity raises.
+    cfg = {
+        "params": {"m": [1.0], "p": [1.0]},
+        "potential": {"entries": [[{"kind": "power", "q": 6.0, "a": -1e4}]], "kappa": [[0.0]]},
+        "initial": {"type": "preset", "name": "gauss_pair", "args": {"sigma": 0.3}},
+        "solver": {"dt": 0.05, "t_end": 1.0},
+        "M": 16,
+    }
+    config = write(tmp_path / "blowup.json", cfg)
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "multiagg.cli", "simulate", "--config", config,
+                           "--out", str(tmp_path / "traj.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr

@@ -109,3 +109,15 @@ def test_particle_blowup_names_the_pair(scheme):
             mg.run_particles(particles_from_quantile(qs), pm, cfg)
     assert exc.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
     assert exc.value.partial.times[0] == 0.0
+
+
+def test_last_recorded_field_is_checked():
+    # A run of no steps on a finite state whose field overflows: no step
+    # takes the recorded field as its first stage, so the loop checks it.
+    pm = mg.matrix_from_entries([[mg.Power(q=6.0, a=1.0)]], kappa=[[0.0]])
+    qs = mg.QuantileState(np.array([[-1e62, 1e62]]), mg.SystemParams(m=[1.0], p=[1.0], E=[0.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(mg.NumericsError) as exc:
+            run(qs, pm, SolverConfig(dt=0.1, t_end=0.0))
+    assert exc.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
+    assert exc.value.partial.times == [0.0]

@@ -39,3 +39,21 @@ def test_dissipation_identity_passes_and_catches_a_scaled_dissipation():
     traj.records = [dataclasses.replace(r, dissipation=1.1 * r.dissipation)
                     for r in traj.records]
     assert verify._dissipation_identity(traj).status == "fail"
+
+
+def test_contraction_companion_takes_the_main_runs_step():
+    # Without a configured dt each run would derive its own step from its own
+    # datum (here 0.037 against 0.076), and the check would compare states
+    # recorded at different times.
+    quad = [[{"kind": "quadratic", "a": a} for a in row] for row in ([1.0, 0.5], [0.5, 1.0])]
+    cfg = config_from_dict({
+        "params": {"m": [1.0, 0.5], "p": [1.0, 1.0]},
+        "potential": {"entries": quad, "kappa": [[1.0, 0.5], [0.5, 1.0]]},
+        "initial": {"type": "preset", "name": "gauss_pair", "args": {"sigma": 0.3}},
+        "solver": {"t_end": 2.0, "record_every": 5},
+        "M": 64,
+    })
+    assert cfg.solver.dt is None
+    check = next(c for c in verify.run_verification(cfg).checks if c.name == "contraction")
+    assert check.status == "pass"
+    assert check.details["worst_ratio_to_bound"] < 1.0
