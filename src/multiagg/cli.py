@@ -9,7 +9,6 @@ bit-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -51,28 +50,24 @@ def _write_quantile_diag_csv(path, records, n):
               + [f"supp_lo_{i + 1}" for i in range(n)]
               + [f"supp_hi_{i + 1}" for i in range(n)]
               + ["w2_to_ground"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in records:
-            row = [repr(float(v)) for v in (r.t, r.energy, r.dissipation, r.E_invariant)]
-            row += [repr(float(v)) for v in r.diam]
-            row += [repr(float(v)) for v in r.supp_lo]
-            row += [repr(float(v)) for v in r.supp_hi]
-            row.append("" if r.w2_to_ground is None else repr(float(r.w2_to_ground)))
-            writer.writerow(row)
+    columns = [measures.float_fields([getattr(r, a) for r in records])
+               for a in ("t", "energy", "dissipation", "E_invariant")]
+    for a in ("diam", "supp_lo", "supp_hi"):
+        per_species = np.reshape([getattr(r, a) for r in records], (len(records), n))
+        columns += [measures.float_fields(v) for v in per_species.T]
+    columns.append(["" if r.w2_to_ground is None else repr(float(r.w2_to_ground))
+                    for r in records])
+    measures.write_csv(path, header, [columns])
 
 
 def _write_particle_diag_csv(path, traj, params):
     d = params.d
     header = ["t", "energy"] + [f"E_invariant_{a + 1}" for a in range(d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, state, en in zip(traj.times, traj.states, traj.energies):
-            center = measures.particle_center_of_mass(state)
-            writer.writerow([repr(float(t)), repr(float(en))]
-                            + [repr(float(v)) for v in center])
+    centers = np.reshape([measures.particle_center_of_mass(s) for s in traj.states],
+                         (len(traj.states), d))
+    measures.write_csv(path, header, [[measures.float_fields(traj.times),
+                                       measures.float_fields(traj.energies)]
+                                      + [measures.float_fields(v) for v in centers.T]])
 
 
 def _diag_path(out: str) -> str:
@@ -80,11 +75,12 @@ def _diag_path(out: str) -> str:
 
 
 def _run_and_write(integrate, write) -> int:
-    """Write the trajectory of a run, or on a numeric failure its partial one before re-raising."""
+    """Write the trajectory of a run, or on a numeric failure its partial one, if it holds a
+    snapshot, before re-raising."""
     try:
         traj = integrate()
     except NumericsError as err:
-        if err.partial is not None:
+        if err.partial is not None and err.partial.times:
             write(err.partial)
         raise
     write(traj)

@@ -213,76 +213,147 @@ def second_moments(qs: QuantileState) -> np.ndarray:
 
 
 # --- CSV snapshot formats -------------------------------------------------
+#
+# Comma-separated with "\r\n" line ends, the csv module's default dialect.
+# Floats are written as repr, the shortest text that reads back to the same
+# float, integers in decimal; no such field ever needs quoting, so rows are
+# formatted by joining text, one snapshot at a time.
 
 _QUANTILE_COLUMNS = ("t", "species", "cell", "u")
+_QUANTILE_ROW = np.dtype([("t", float), ("species", np.int64), ("cell", np.int64),
+                          ("u", float)])
+
+
+def float_fields(values) -> list:
+    """repr of each value as a Python float: the CSV text of a column of floats."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def write_csv(path, header: Sequence[str], blocks):
+    """Write a header row, then per block one row per index of its columns.
+
+    A block is a list of equal-length columns of field text; each block is
+    written with one join.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+
+
+def _snapshot_blocks(times, snapshots):
+    """One block per snapshot: t, "species,index" keys, then the snapshot's columns.
+
+    ``snapshots`` yields (points per species, value arrays); the keys of a
+    species layout are made once and reused by every snapshot with it.
+    """
+    keys: dict = {}
+    for t, (counts, values) in zip(times, snapshots):
+        if counts not in keys:
+            keys[counts] = [f"{i},{k}" for i, N in enumerate(counts) for k in range(N)]
+        cells = keys[counts]
+        yield [[repr(float(t))] * len(cells), cells] + [float_fields(v) for v in values]
 
 
 def write_quantile_csv(path, times: Sequence[float], states: Sequence[QuantileState]):
     """Long-format trajectory snapshots: columns t, species, cell, u."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_QUANTILE_COLUMNS)
-        for t, qs in zip(times, states):
-            for i in range(qs.n):
-                for k in range(qs.M):
-                    writer.writerow([repr(float(t)), i, k, repr(float(qs.u[i, k]))])
+    write_csv(path, _QUANTILE_COLUMNS,
+              _snapshot_blocks(times, (((qs.M,) * qs.n, [qs.u]) for qs in states)))
 
 
 def read_quantile_csv(path, params: SystemParams):
     """Inverse of write_quantile_csv; returns (times, states).
 
     Raises ValueError unless the header names the columns t, species, cell,
-    u, every row fills them, and every snapshot is a full (params.n, M) grid,
-    M fixed.
+    u, every row fills them, times are finite, and every snapshot is a full
+    (params.n, M) grid, M fixed, that gives no cell twice.  Snapshots are
+    the distinct times in order of first appearance; rows may come in any
+    order.
     """
-    by_time: dict = {}
-    order: list = []
+    import warnings
+
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader(fh), [])
         missing = [c for c in _QUANTILE_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"the header lacks column(s) {', '.join(missing)}")
-        it, ii, ik, iu = (header.index(c) for c in _QUANTILE_COLUMNS)
-        width = 1 + max(it, ii, ik, iu)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                raise ValueError(f"line {reader.line_num} has fewer fields than the header")
-            t = float(row[it])
-            if t not in by_time:
-                by_time[t] = {}
-                order.append(t)
-            by_time[t][(int(row[ii]), int(row[ik]))] = float(row[iu])
-    if not order:
+        cols = tuple(header.index(c) for c in _QUANTILE_COLUMNS)
+        with warnings.catch_warnings():
+            # Older numpy reads "1.5" in an integer column as 1 and only warns.
+            warnings.simplefilter("error")
+            try:
+                rows = np.loadtxt(fh, dtype=_QUANTILE_ROW, delimiter=",", comments=None,
+                                  quotechar='"', usecols=cols, ndmin=1)
+            except (ValueError, Warning) as err:
+                fh.seek(0)
+                _raise_row_error(csv.reader(fh), cols, err)
+    return _snapshots(rows, params)
+
+
+def _raise_row_error(reader, cols, err):
+    """Name the first row that fails the parse ``err`` reports, as a row-by-row parse would."""
+    next(reader)
+    it, ii, ik, iu = cols
+    width = 1 + max(cols)
+    empty = True
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:
+            raise ValueError(f"line {reader.line_num} has fewer fields than the header")
+        # The array parse's conversions, in the order a row-by-row reader made them.
+        float(row[it]), float(row[iu]), int(row[ii]), int(row[ik])
+        empty = False
+    if empty:
         raise ValueError("the trajectory holds no snapshot")
-    times, states = [], []
-    for t in order:
-        cells = by_time[t]
-        n = 1 + max(i for i, _ in cells)
-        M = 1 + max(k for _, k in cells)
-        if len(cells) != n * M or min(min(key) for key in cells) < 0:
-            raise ValueError(f"snapshot t={t!r} is incomplete: {len(cells)} of {n}x{M} values")
-        M0 = states[0].M if states else M
-        if (n, M) != (params.n, M0):
-            raise ValueError(f"snapshot t={t!r} is a {n}x{M} grid, expected {params.n}x{M0}")
-        u = np.empty((n, M))
-        for (i, k), val in cells.items():
-            u[i, k] = val
-        times.append(t)
-        states.append(QuantileState(u, params))
+    raise ValueError(f"unreadable trajectory: {err}")
+
+
+def _snapshots(rows, params: SystemParams):
+    """Group parsed rows into snapshots and check each grid; see read_quantile_csv."""
+    t = rows["t"]
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"snapshot t={float(t[~np.isfinite(t)][0])!r}: times must be finite")
+    _, first, inverse = np.unique(t, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    times = t[np.sort(first)].tolist()
+    snap = rank[inverse.ravel()]
+    order = np.lexsort((rows["cell"], rows["species"], snap))
+    snap, i, k, u = snap[order], rows["species"][order], rows["cell"][order], rows["u"][order]
+
+    starts = np.flatnonzero(np.r_[True, snap[1:] != snap[:-1]])
+    count = np.diff(np.r_[starts, snap.size])
+    n = i[np.r_[starts[1:], snap.size] - 1] + 1
+    M = np.maximum.reduceat(k, starts) + 1
+    negative = (i[starts] < 0) | (np.minimum.reduceat(k, starts) < 0)
+    repeat = (snap[1:] == snap[:-1]) & (i[1:] == i[:-1]) & (k[1:] == k[:-1])
+    repeats = np.bincount(snap[1:][repeat], minlength=starts.size) > 0
+    incomplete = (count != n * M) | negative
+    misshapen = (n != params.n) | (M != M[0])
+    bad = np.flatnonzero(repeats | incomplete | misshapen)
+    b = int(bad[0]) if bad.size else starts.size
+
+    size = int(count[0])  # the grid size of every snapshot before b
+    states = [QuantileState(u[s * size:(s + 1) * size].reshape(params.n, -1), params)
+              for s in range(b)]
+    if b < starts.size:
+        t_b, n_b, M_b = times[b], int(n[b]), int(M[b])
+        if repeats[b]:
+            r = np.flatnonzero(repeat & (snap[1:] == b))[0]
+            raise ValueError(f"snapshot t={t_b!r} repeats species {int(i[r])} cell {int(k[r])}")
+        if incomplete[b]:
+            raise ValueError(
+                f"snapshot t={t_b!r} is incomplete: {int(count[b])} of {n_b}x{M_b} values")
+        raise ValueError(f"snapshot t={t_b!r} is a {n_b}x{M_b} grid, "
+                         f"expected {params.n}x{int(M[0])}")
     return times, states
 
 
 def write_particle_csv(path, times: Sequence[float], states: Sequence[ParticleState]):
     """Atomic snapshots: columns t, species, k, mass, x_1..x_d."""
     d = states[0].params.d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "species", "k", "mass"] + [f"x_{a + 1}" for a in range(d)])
-        for t, ps in zip(times, states):
-            for i in range(ps.n):
-                for k in range(ps.positions[i].shape[0]):
-                    writer.writerow([repr(float(t)), i, k, repr(float(ps.masses[i][k]))]
-                                    + [repr(float(v)) for v in ps.positions[i][k]])
+    snapshots = ((tuple(ps.counts), [np.concatenate(ps.masses)]
+                  + list(np.concatenate(ps.positions).T)) for ps in states)
+    write_csv(path, ["t", "species", "k", "mass"] + [f"x_{a + 1}" for a in range(d)],
+              _snapshot_blocks(times, snapshots))

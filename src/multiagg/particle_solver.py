@@ -22,7 +22,8 @@ import numpy as np
 from .diagnostics import energy as discrete_energy
 from .measures import ParticleState
 from .potentials import PotentialMatrix
-from .quantile_solver import SolverConfig, StepInfo, _integrate, _resolve_dt, _velocity
+from .quantile_solver import (_QUIET, SolverConfig, StepInfo, _check_records, _integrate,
+                              _resolve_dt, _velocity)
 
 
 @dataclass
@@ -73,6 +74,9 @@ def run_particles(ps0: ParticleState, pm: PotentialMatrix, cfg: SolverConfig) ->
     def record(ps, t):
         traj.times.append(t)
         traj.states.append(ps)
-        traj.energies.append(discrete_energy(ps, pm))
+        with np.errstate(**_QUIET):
+            traj.energies.append(discrete_energy(ps, pm))
 
-    return _integrate(ps0, pm, cfg, traj, lambda ps, cfg: (ps, StepInfo(False, False)), record)
+    _integrate(ps0, pm, cfg, traj, lambda ps, cfg: (ps, StepInfo(False, False)), record)
+    _check_records(traj, pm, [{"energy": e} for e in traj.energies])
+    return traj

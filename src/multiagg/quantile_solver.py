@@ -21,7 +21,7 @@ is a no-op when nothing crossed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,8 +30,8 @@ from . import diagnostics
 from .convexity import modulus
 from .errors import NumericsError
 from .measures import QuantileState
-from .potentials import (_TILE, PotentialMatrix, _grad_block, estimate_growth_bound,
-                         pair_fields)
+from .potentials import (_TILE, PotentialMatrix, _grad_block, _value_block,
+                         estimate_growth_bound, pair_fields)
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -110,15 +110,16 @@ def _velocity(xs, ws, pm: PotentialMatrix, m: np.ndarray, field=None) -> list:
     return v
 
 
-def _nonfinite_witness(xs, pm: PotentialMatrix) -> dict:
+def _nonfinite_witness(xs, pm: PotentialMatrix, block=_grad_block) -> dict:
     """First (i, j, k, l) in row-major order with non-finite grad W_ij(xs[i][k] - xs[j][l]),
-    scanned in row tiles; else the first non-finite point (i, k); else {}."""
+    or W_ij with ``block=_value_block``, scanned in row tiles; else the first
+    non-finite point (i, k); else {}."""
     for i, j in np.ndindex(pm.n, pm.n):
         rows = max(1, _TILE // len(xs[j]))
         for k0 in range(0, len(xs[i]), rows):
             with np.errstate(**_QUIET):
-                g = _grad_block(pm.entries[i][j], xs[i][k0:k0 + rows], xs[j])
-            bad = np.argwhere(~np.isfinite(g).all(axis=1))
+                g = block(pm.entries[i][j], xs[i][k0:k0 + rows], xs[j])
+            bad = np.argwhere(~np.isfinite(g.reshape(len(g), -1, len(xs[j]))).all(axis=1))
             if bad.size:
                 k, l = map(int, bad[0])
                 return {"i": i, "j": j, "k": k0 + k, "l": l}
@@ -127,6 +128,30 @@ def _nonfinite_witness(xs, pm: PotentialMatrix) -> dict:
         if bad.size:
             return {"i": i, "k": int(bad[0][0])}
     return {}
+
+
+def _check_records(traj, pm: PotentialMatrix, values: list):
+    """Raise NumericsError at the first record of a finished run with a non-finite value.
+
+    ``values[k]`` maps the names of record k's values to them.  The witness
+    names t, the quantity and, for a per-species one, the species; for the
+    energy it adds the first pair whose kernel value is not finite (see
+    ``_nonfinite_witness``).  The partial trajectory ends before that record.
+    """
+    for k, (t, named) in enumerate(zip(traj.times, values)):
+        for name, value in named.items():
+            bad = np.flatnonzero(~np.isfinite(np.ravel(value)))
+            if not bad.size:
+                continue
+            witness = {"t": t, "quantity": name}
+            if np.ndim(value):
+                witness["i"] = int(bad[0])
+            if name == "energy":
+                witness.update(_nonfinite_witness(traj.states[k].clouds()[0], pm, _value_block))
+            partial = replace(traj, **{f: v[:k] for f, v in vars(traj).items()
+                                       if isinstance(v, list)})
+            raise NumericsError(f"non-finite {name} recorded at t={t!r}", witness=witness,
+                                partial=partial)
 
 
 def rhs(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
@@ -253,12 +278,15 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
         return qs, info
 
     def record(qs, t):
-        # The loop checks the field; the other recorded values are not checked.
+        # The loop checks the field; the other values are checked once the run ends.
         with np.errstate(**_QUIET):
             field = diagnostics.force_field(qs, pm)
+            traj.records.append(diagnostics.record(qs, pm, t, ground, field))
         traj.times.append(t)
         traj.states.append(qs)
-        traj.records.append(diagnostics.record(qs, pm, t, ground, field))
         return field[:, :, None]
 
-    return _integrate(qs0, pm, cfg, traj, project, record)
+    _integrate(qs0, pm, cfg, traj, project, record)
+    _check_records(traj, pm, [{name: v for name, v in vars(r).items()
+                               if name != "t" and v is not None} for r in traj.records])
+    return traj
