@@ -51,7 +51,6 @@ class ExperimentConfig:
     seed: int
     initial_quantile: Optional[QuantileState]
     initial_particles: Optional[ParticleState]
-    raw: dict
     source_hash: Optional[str] = None
 
 
@@ -302,7 +301,7 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
     if not isinstance(solver_raw, dict):
         issues.append("solver: expected an object")
     else:
-        allowed = {"dt", "t_end", "scheme", "repair", "cfl_safety", "record_every"}
+        allowed = {f.name for f in dataclasses.fields(SolverConfig)}
         unknown = set(solver_raw) - allowed
         if unknown:
             issues.append(f"solver: unknown fields {sorted(unknown)} (expected {sorted(allowed)})")
@@ -350,7 +349,7 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
 
     return ExperimentConfig(params=params, potential=potential, solver=solver, M=M,
                             seed=used_seed, initial_quantile=initial_quantile,
-                            initial_particles=initial_particles, raw=raw,
+                            initial_particles=initial_particles,
                             source_hash=source_hash)
 
 

@@ -352,6 +352,8 @@ def _snapshots(rows, params: SystemParams):
 
 def write_particle_csv(path, times: Sequence[float], states: Sequence[ParticleState]):
     """Atomic snapshots: columns t, species, k, mass, x_1..x_d."""
+    if not states:
+        raise ValueError("an empty particle trajectory has no dimension for the header")
     d = states[0].params.d
     snapshots = ((tuple(ps.counts), [np.concatenate(ps.masses)]
                   + list(np.concatenate(ps.positions).T)) for ps in states)

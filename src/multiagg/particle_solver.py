@@ -10,7 +10,8 @@ the signed displacement.  Forces and energies come from the engine
 ``potentials.pair_fields`` / ``pair_energy`` (each pair once, row tiles of
 bounded size).  On 1-d equal-mass atomic data that is the quantile solver's
 call, so both agree bit-exactly.  ``run_particles`` is the quantile solver's
-time loop with no projection; ``discrete_energy`` is ``diagnostics.energy``.
+time loop, whose projection leaves a particle state unchanged;
+``discrete_energy`` is ``diagnostics.energy``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .diagnostics import energy as discrete_energy
 from .measures import ParticleState
 from .potentials import PotentialMatrix
-from .quantile_solver import (_QUIET, SolverConfig, StepInfo, _check_records, _integrate,
-                              _resolve_dt, _velocity)
+from .quantile_solver import (_QUIET, SolverConfig, _check_records, _integrate, _resolve_dt,
+                              _velocity)
 
 
 @dataclass
@@ -77,6 +78,6 @@ def run_particles(ps0: ParticleState, pm: PotentialMatrix, cfg: SolverConfig) ->
         with np.errstate(**_QUIET):
             traj.energies.append(discrete_energy(ps, pm))
 
-    _integrate(ps0, pm, cfg, traj, lambda ps, cfg: (ps, StepInfo(False, False)), record)
+    _integrate(ps0, pm, cfg, traj, record)
     _check_records(traj, pm, [{"energy": e} for e in traj.energies])
     return traj

@@ -20,11 +20,13 @@ Three ways to sum a pair:
 * ``Quadratic``, in any d: closed form from each cloud's mass, mean and
   variance.
 * In d = 1, ``Tabulated``, ``DoubleWell`` and ``Power`` with integer q <= 4,
-  whose profiles are polynomial pieces in |z| (``_Profile``): exactly, from
-  moments of the source cloud about one of its points.  Even polynomials in z
-  (``DoubleWell``, q = 2 and 4) take whole-cloud moments; the others sort
-  the source once and take prefix moments over the windows that each
-  target's knots cut out, found by ``searchsorted``.
+  whose profiles are polynomial pieces in |z| (``_Profile``, the one table
+  that also gives ``Tabulated``'s pointwise values and its zero and tail
+  verdicts): exactly, from moments of the source cloud about one of its
+  points.  Even polynomials in z (``DoubleWell``, q = 2 and 4) take
+  whole-cloud moments; the others sort the source once and take prefix
+  moments over the windows that each target's knots cut out, found by
+  ``searchsorted``.
 * Every other kind or d: directly in bounded row tiles (on the signed
   displacement in d = 1, radially in d > 1).  The self path evaluates each
   unordered pair of points once: row tiles sweep the upper triangle, and the
@@ -85,8 +87,8 @@ class ScalarPotential:
     def nonzero_on_tail(self, radius: float) -> bool:
         """Does the derivative take nonzero values somewhere on (radius, inf)?
 
-        Decided structurally for analytic kinds; by dense sampling for
-        tabulated ones.
+        Decided structurally: from the parameters of analytic kinds, from
+        the polynomial pieces of tabulated ones.
         """
         return not self.is_identically_zero()
 
@@ -245,13 +247,16 @@ def _weighted_var(x, w, total, center) -> float:
 
 
 class _Profile:
-    """A kernel profile as polynomial pieces, summed exactly over a cloud in d = 1.
+    """A kernel profile as polynomial pieces: evaluated pointwise, and summed
+    exactly over a cloud in d = 1.
 
-    Piece j covers s = |z| in [starts[j], starts[j+1]), closed on the left like
-    ``Tabulated._horner``; the last piece is unbounded.  It is a polynomial in
-    t = s - starts[j] with coefficients (low to high) ``value[j]`` for W and
-    ``deriv[j]`` for the radial W'.  With ``even``, the profile is one
-    polynomial in z itself (value and derivative), which needs no split.
+    Piece j covers s = |z| in [starts[j], starts[j+1]), closed on the left; the
+    last piece is unbounded.  It is a polynomial in t = s - starts[j] with
+    coefficients (low to high) ``pieces[j]`` for W; the radial W' pieces are
+    their derivatives.  A profile of one piece from 0 without odd-degree terms
+    is ``even``: one polynomial in z itself (value and derivative), which needs
+    no split.  Every verdict on the kernel is read off the pieces: a nonzero
+    polynomial vanishes at finitely many points only.
 
     A sum over sources y_l takes their moments M_s = sum_l w_l Y_l^s in
     Y = y - c, c a point of the cloud, over windows: the sources of one piece on
@@ -260,13 +265,36 @@ class _Profile:
     from first to last.
     """
 
-    def __init__(self, starts, value, deriv, even=False):
+    def __init__(self, starts, pieces):
         self.starts = np.asarray(starts, dtype=float)
-        self.even = even
-        self.value = self._expansion(np.atleast_2d(value), odd=False)
-        self.deriv = self._expansion(np.atleast_2d(deriv), odd=True)
+        pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
+        dpieces = pieces[:, 1:] * np.arange(1, pieces.shape[1])
+        self.even = (len(self.starts) == 1 and self.starts[0] == 0.0
+                     and not pieces[:, 1::2].any())
+        self.zero = not pieces.any()
+        # One 1-D array per coefficient for ``at``: gathering each with ``take``
+        # is a few times faster than gathering the columns of one table.
+        self.value_coef, self.deriv_coef = tuple(pieces.T.copy()), tuple(dpieces.T.copy())
+        self.value = self._expansion(pieces, odd=False)
+        self.deriv = self._expansion(dpieces, odd=True)
         self._left = -self.starts[::-1, None]  # x - b_j, last piece first
         self._right = self.starts[1:, None]
+
+    def at(self, coef, s):
+        """The pieces ``coef`` (``value_coef`` or ``deriv_coef``) at finite s >= 0;
+        s = inf gives nan."""
+        j = self.starts[1:].searchsorted(s, side="right")
+        t = s - self.starts.take(j)
+        out = np.asarray(coef[-1].take(j))  # a 0-d index takes a numpy scalar
+        for c in coef[-2::-1]:
+            out *= t
+            out += c.take(j)
+        return out
+
+    def nonzero_past(self, radius) -> bool:
+        """Does W' take nonzero values somewhere on (radius, inf)?"""
+        j = self.starts[1:].searchsorted(radius, side="right")
+        return any(c[j:].any() for c in self.deriv_coef)
 
     def _expansion(self, coef, odd):
         """H (D, D, windows) with sum_l w_l P(x - y_l) = sum_k X^k sum_sj H[k, s, j] M_sj,
@@ -378,6 +406,9 @@ class _PiecewisePolynomial(ScalarPotential):
     def _by_moments(self, x) -> bool:
         return self._profile is not None and x.shape[1] == 1
 
+    def is_identically_zero(self):
+        return self._profile.zero
+
     def cloud_fields(self, x, wx, y, wy):
         if not self._by_moments(x):
             return super().cloud_fields(x, wx, y, wy)
@@ -417,8 +448,7 @@ class Power(_PiecewisePolynomial):
             q = int(self.q)
             value = np.zeros(q + 1)
             value[q] = self.a
-            object.__setattr__(self, "_profile", _Profile(
-                [0.0], value, value[1:] * np.arange(1, q + 1), even=q % 2 == 0))
+            object.__setattr__(self, "_profile", _Profile([0.0], value))
 
     def _value(self, z):
         return self.a * np.abs(z) ** self.q
@@ -505,9 +535,7 @@ class DoubleWell(_PiecewisePolynomial):
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "_profile", _Profile(
-            [0.0], [0.0, 0.0, -self.b, 0.0, self.a], [0.0, -2.0 * self.b, 0.0, 4.0 * self.a],
-            even=True))
+        object.__setattr__(self, "_profile", _Profile([0.0], [0.0, 0.0, -self.b, 0.0, self.a]))
 
     def _value(self, z):
         z2 = z * z
@@ -516,9 +544,6 @@ class DoubleWell(_PiecewisePolynomial):
     def _deriv(self, z):
         z2 = z * z
         return z * (4.0 * self.a * z2 - 2.0 * self.b)
-
-    def is_identically_zero(self):
-        return self.a == 0.0 and self.b == 0.0
 
 
 @dataclass(frozen=True)
@@ -553,57 +578,22 @@ class Tabulated(_PiecewisePolynomial):
         k, v, d = np.array(knots), np.array(values), np.array(derivs)
         h = np.diff(k)
         slope = np.diff(v) / h
-        c2 = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
-        c3 = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
-        # One 1-D array per coefficient: gathering each with ``take`` is a few
-        # times faster than gathering the columns of one (4, K) table.
-        object.__setattr__(self, "_inner", k[1:-1])
-        object.__setattr__(self, "_left", k[:-1])
-        object.__setattr__(self, "_vcoef", (v[:-1], d[:-1], c2, c3))
-        object.__setattr__(self, "_dcoef", (d[:-1], 2.0 * c2, 3.0 * c3))
-        tail = np.zeros((1, 4))
-        tail[0, :2] = v[-1], d[-1]
-        object.__setattr__(self, "_profile", _Profile(
-            k, np.vstack([np.stack(self._vcoef, axis=1), tail]),
-            np.vstack([np.stack(self._dcoef, axis=1), tail[:, 1:]])))
-        s = np.linspace(0.0, knots[-1], 1001)
-        zero = bool(np.all(self._horner(self._vcoef, s) == 0.0)
-                    and np.all(self._horner(self._dcoef, s) == 0.0))
-        object.__setattr__(self, "_zero", zero)
-
-    def _horner(self, coef, s):
-        """Polynomial with coefficients ``coef`` (low to high) of the interval holding s,
-        at s clamped to the last knot; intervals are closed on the left."""
-        j = self._inner.searchsorted(s, side="right")
-        t = np.minimum(s, self.knots[-1])
-        t -= self._left.take(j)
-        out = np.asarray(coef[-1].take(j))  # a 0-d index takes a numpy scalar
-        for c in coef[-2::-1]:
-            out *= t
-            out += c.take(j)
-        return out
+        pieces = np.zeros((len(k), 4))  # the cubics, then the linear tail
+        pieces[:, 0], pieces[:, 1] = v, d
+        pieces[:-1, 2] = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
+        pieces[:-1, 3] = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
+        object.__setattr__(self, "_profile", _Profile(k, pieces))
 
     def _value(self, z):
-        s = np.abs(z)
-        kmax = self.knots[-1]
-        out = self._horner(self._vcoef, s)
-        np.copyto(out, self.values[-1] + self.derivs[-1] * (s - kmax), where=s > kmax)
-        return out
+        return self._profile.at(self._profile.value_coef, np.abs(z))
 
     def _deriv(self, z):
-        s = np.abs(z)
-        out = self._horner(self._dcoef, s)
-        np.copyto(out, self.derivs[-1], where=s > self.knots[-1])
+        out = self._profile.at(self._profile.deriv_coef, np.abs(z))
         out *= np.sign(z)
         return out
 
-    def is_identically_zero(self):
-        return self._zero
-
     def nonzero_on_tail(self, radius):
-        hi = max(self.knots[-1], radius + 1.0) + 1.0
-        s = np.linspace(radius + 1e-9, hi, 1001)
-        return bool(np.any(self.deriv(s) != 0.0))
+        return self._profile.nonzero_past(radius)
 
 
 @dataclass(frozen=True)

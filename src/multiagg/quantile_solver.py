@@ -29,7 +29,7 @@ import numpy as np
 from . import diagnostics
 from .convexity import modulus
 from .errors import NumericsError
-from .measures import QuantileState
+from .measures import ParticleState, QuantileState
 from .potentials import (_TILE, PotentialMatrix, _grad_block, _value_block,
                          estimate_growth_bound, pair_fields)
 
@@ -38,6 +38,7 @@ REPAIRS = ("none", "sort")
 # Engine passes whose result is checked run quietly: a non-finite value there
 # raises NumericsError with a witness, so numpy's warning would only repeat it.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+_DT_CAP = 1.0  # the derived step when nothing moves, and its upper bound otherwise
 
 
 @dataclass
@@ -159,7 +160,7 @@ def rhs(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
     return np.stack(_velocity(*qs.clouds(), pm, qs.params.m))[:, :, 0]
 
 
-def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2, cap: float = 1.0) -> float:
+def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2) -> float:
     """Step bound cfl / max_i( m_i sum_j C_ij p_j (1 + diam) ), quantile or particle state.
 
     diam, sqrt(d) times the coordinate range, bounds the support diameter.
@@ -179,8 +180,8 @@ def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2, cap: float = 
             total += c * state.params.p[j]
         rate = max(rate, state.params.m[i] * total * (1.0 + diam))
     if rate <= 0.0:
-        return cap
-    return min(cfl_safety / rate, cap)
+        return _DT_CAP
+    return min(cfl_safety / rate, _DT_CAP)
 
 
 def _explicit_step(f, xs: list, dt: float, scheme: str, k1=None) -> list:
@@ -213,8 +214,11 @@ def _resolve_dt(state, pm: PotentialMatrix, cfg: SolverConfig) -> float:
     return cfg.dt if cfg.dt is not None else stable_dt(state, pm, cfg.cfl_safety)
 
 
-def _sort_repair(qs: QuantileState, cfg: SolverConfig):
-    """Report a crossing of cells; with repair="sort", sort each species ascending."""
+def _sort_repair(qs, cfg: SolverConfig):
+    """Report a crossing of cells; with repair="sort", sort each species ascending.
+    A particle state has no cell order and passes unchanged."""
+    if isinstance(qs, ParticleState):
+        return qs, StepInfo(False, False)
     violated = bool(np.any(np.diff(qs.u, axis=1) < 0.0))
     repaired = violated and cfg.repair == "sort"
     return (qs.with_u(np.sort(qs.u, axis=1)) if repaired else qs), StepInfo(violated, repaired)
@@ -226,7 +230,8 @@ def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = No
 
     ``field``, the engine field at ``state`` before the -m factor, is the
     first stage.  The default projection reports a crossing of a quantile
-    state in the StepInfo and, with repair="sort", sorts it away.
+    state in the StepInfo and, with repair="sort", sorts it away; it leaves a
+    particle state unchanged.
     """
     if dt is None:
         dt = _resolve_dt(state, pm, cfg)
@@ -241,7 +246,7 @@ def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = No
     return project(state.with_clouds(xs1), cfg)
 
 
-def _integrate(state, pm: PotentialMatrix, cfg: SolverConfig, traj, project, record):
+def _integrate(state, pm: PotentialMatrix, cfg: SolverConfig, traj, record, project=_sort_repair):
     """The time loop of both solvers, steps of ``traj.dt`` each followed by ``project`` (see
     ``step``).  ``record(state, t)`` stores the state at t = 0 and at each due time in
     ``traj`` and returns the engine field there, or None, for the next step.  A
@@ -286,7 +291,7 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
         traj.states.append(qs)
         return field[:, :, None]
 
-    _integrate(qs0, pm, cfg, traj, project, record)
+    _integrate(qs0, pm, cfg, traj, record, project)
     _check_records(traj, pm, [{name: v for name, v in vars(r).items()
                                if name != "t" and v is not None} for r in traj.records])
     return traj

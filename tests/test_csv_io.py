@@ -276,3 +276,10 @@ def test_non_finite_record_carries_the_partial_trajectory():
     assert exc.value.witness == {"t": 1e4, "quantity": "energy", "i": 0, "j": 0, "k": 0, "l": 1}
     assert exc.value.partial.times == [0.0]
     assert len(exc.value.partial.states) == len(exc.value.partial.records) == 1
+
+
+def test_empty_particle_trajectory_is_refused_before_the_file_opens(tmp_path):
+    path = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="empty particle trajectory"):
+        write_particle_csv(path, [], [])
+    assert not path.exists()

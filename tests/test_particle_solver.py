@@ -198,3 +198,23 @@ def test_matches_quantile_solver_on_atomic_data(two_species_attractive):
     diff = max(np.abs(a.u[i] - b.positions[i].ravel()).max()
                for a, b in zip(qt.states, pt.states) for i in range(2))
     assert diff <= 1e-11
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_step_on_a_particle_state_is_the_first_recorded_step(scheme):
+    rng = np.random.default_rng(5)
+    pm = mg.matrix_from_entries(
+        [[mg.GaussianAR(1.0, 1.0, 0.5, 2.0), mg.Quadratic(0.7)],
+         [None, mg.DoubleWell(0.1, 0.3)]],
+        kappa=np.zeros((2, 2)))
+    xs = [rng.normal(size=(5, 2)), rng.normal(size=(3, 2))]
+    ws = [np.full(5, 0.2), rng.uniform(0.5, 1.5, 3)]
+    params = mg.SystemParams(m=[1.0, 2.0], p=[1.0, float(ws[1].sum())], E=[0.0, 0.0], d=2)
+    center = mg.particle_center_of_mass(mg.ParticleState(xs, ws, params))
+    ps = mg.ParticleState(xs, ws, mg.SystemParams(m=[1.0, 2.0], p=params.p, E=center, d=2))
+    cfg = SolverConfig(dt=0.05, t_end=0.05, scheme=scheme)
+    stepped, info = mg.step(ps, pm, cfg)
+    assert (info.monotonicity_violated, info.repair_applied) == (False, False)
+    recorded = run_particles(ps, pm, cfg).states[1]
+    for a, b in zip(stepped.positions, recorded.positions):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
