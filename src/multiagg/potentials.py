@@ -27,10 +27,11 @@ Three ways to sum a pair:
   whole-cloud moments; the others sort the source once and take prefix
   moments over the windows that each target's knots cut out, found by
   ``searchsorted``.
-* Every other kind or d: directly in bounded row tiles (on the signed
-  displacement in d = 1, radially in d > 1).  The self path evaluates each
-  unordered pair of points once: row tiles sweep the upper triangle, and the
-  reverse field negates the same block, bit-exactly as W' is odd.
+* Every other kind or d: directly in bounded row tiles, each one matrix of
+  W'(x - y) in d = 1 or of W'(r)/r in d > 1 (``_field_block``) times the
+  sources of both fields.  The self path evaluates each unordered pair of
+  points once: row tiles sweep the upper triangle, and a block's columns
+  past its rows feed the later points.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ import numpy as np
 
 _TILE = 16384  # kernel evaluations per row tile of a directly summed block
 
-# A tile temporary is 128 KiB, glibc's default mmap threshold, and one kernel
-# evaluation holds about 1 MiB of them, so glibc would map and unmap them (and
-# the OS refault every page) on each tile.  Freeing one 4 MiB block raises
-# glibc's dynamic mmap and trim thresholds above that, and they never fall
-# again in this process.  Other allocators ignore it.
+# A (T, L) tile temporary is 128 KiB, glibc's default mmap threshold, and a
+# tile's kernel evaluation holds several at once, so glibc would map and unmap
+# them (and the OS refault every page) on each tile.  Freeing one 4 MiB block
+# raises glibc's dynamic mmap and trim thresholds above that, and they never
+# fall again in this process.  Other allocators ignore it.
 np.empty(32 * _TILE)
 
 
@@ -92,49 +93,57 @@ class ScalarPotential:
         """
         return not self.is_identically_zero()
 
+    def _slope(self, r2: np.ndarray) -> np.ndarray:
+        """W'(r)/r at r = sqrt(r2), 0 at r = 0: the radial field coefficient in d > 1."""
+        r = np.sqrt(r2)
+        return np.divide(self._deriv(r), r, out=r, where=r > 0.0)
+
     def cloud_fields(self, x, wx, y, wy):
         """Pair fields between weighted point clouds, summed directly.
 
         ``x`` (N, d) with weights ``wx`` (N,), ``y`` (L, d) with ``wy`` (L,).
         Returns (sum_l wy_l grad W(x_k - y_l), sum_k wx_k grad W(y_l - x_k));
-        the second negates the same blocks, bit-exactly as W' is odd.
+        in d = 1 the second negates the same blocks, bit-exactly as W' is odd.
         """
-        L, d = y.shape
-        rows = max(1, _TILE // L)
-        fx, fy = np.empty_like(x), np.zeros_like(y)
+        X, _, rev = _sources(x, wx, y[0])
+        Y, fwd, _ = _sources(y, wy, y[0])
+        yT = np.ascontiguousarray(Y.T)
+        sx, sy = np.empty((len(x), fwd.shape[1])), np.zeros((rev.shape[1], len(y)))
+        rows = max(1, _TILE // len(y))
         for k0 in range(0, len(x), rows):
-            g = _grad_block(self, x[k0:k0 + rows], y)
-            fx[k0:k0 + rows] = (g.reshape(-1, L) @ wy).reshape(-1, d)
-            fy -= (wx[k0:k0 + rows] @ g.reshape(len(g), -1)).reshape(d, L).T
-        return fx, fy
+            K = _field_block(self, X[k0:k0 + rows], yT)
+            sx[k0:k0 + rows] = K @ fwd
+            sy += rev[k0:k0 + rows].T @ K
+        return _field(X, sx), _field(Y, sy.T)
 
     def cloud_energy(self, x, wx, y, wy) -> float:
         """sum_kl wx_k wy_l W(x_k - y_l), summed directly; clouds as in cloud_fields."""
+        yT = np.ascontiguousarray(y.T)
         rows = max(1, _TILE // len(y))
-        return float(sum(wx[k0:k0 + rows] @ _value_block(self, x[k0:k0 + rows], y) @ wy
+        return float(sum(wx[k0:k0 + rows] @ _value_block(self, x[k0:k0 + rows], yT) @ wy
                          for k0 in range(0, len(x), rows)))
 
     def self_fields(self, x, w):
         """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), each unordered pair once.
 
         Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
-        feeds rows k0:k1, and its columns past k1 feed points k1:, negated.
+        feeds rows k0:k1, and its columns past k1 feed points k1:.
         """
-        N, d = x.shape
-        f = np.zeros_like(x)
-        for k0, k1 in _triangle_tiles(N):
-            L = N - k0
-            g = _grad_block(self, x[k0:k1], x[k0:])
-            f[k0:k1] += (g.reshape(-1, L) @ w[k0:]).reshape(-1, d)
-            back = (w[k0:k1] @ g.reshape(k1 - k0, -1)).reshape(d, L)
-            f[k1:] -= back[:, k1 - k0:].T
-        return f
+        X, fwd, rev = _sources(x, w, x[0])
+        xT = np.ascontiguousarray(X.T)
+        s = np.zeros_like(fwd)
+        for k0, k1 in _triangle_tiles(len(x)):
+            K = _field_block(self, X[k0:k1], xT[:, k0:])
+            s[k0:k1] += K @ fwd[k0:]
+            s[k1:] += (rev[k0:k1].T @ K)[:, k1 - k0:].T
+        return _field(X, s)
 
     def self_energy(self, x, w) -> float:
         """sum_kl w_k w_l W(x_k - x_l) over the upper triangle: diagonal tiles plus twice the rest."""
+        xT = np.ascontiguousarray(x.T)
         total = 0.0
         for k0, k1 in _triangle_tiles(len(x)):
-            row = w[k0:k1] @ _value_block(self, x[k0:k1], x[k0:])
+            row = w[k0:k1] @ _value_block(self, x[k0:k1], xT[:, k0:])
             total += row[:k1 - k0] @ w[k0:k1] + 2.0 * (row[k1 - k0:] @ w[k1:])
         return float(total)
 
@@ -148,30 +157,56 @@ def _triangle_tiles(N: int):
         k0 = k1
 
 
-def _radius(diff: np.ndarray) -> np.ndarray:
-    """|diff| over axis 1 of a (T, d, L) block, accumulated on contiguous (T, L) slices."""
-    r2 = diff[:, 0] * diff[:, 0]
-    for a in range(1, diff.shape[1]):
-        r2 += diff[:, a] * diff[:, a]
-    return np.sqrt(r2)
+def _sources(x: np.ndarray, w: np.ndarray, c: np.ndarray):
+    """Coordinates X of a cloud and the (forward, reverse) columns that a tile K multiplies.
 
-
-def _grad_block(pot: ScalarPotential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """grad W(x_k - y_l) for a row tile x (T, d) against y (L, d), laid out (T, d, L)."""
+    In d = 1, K holds W'(x_k - y_l), X = x and the fields are K w and, as W'
+    is odd, -w K.  In d > 1, K holds C = W'(r)/r, X = x - c and
+    sum_l w_l grad W(x_k - y_l) = X_k (C w)_k - (C (w Y))_k: one product with
+    [w, w X] both ways, as C is even (see _field).  Taking c, a point of the
+    source cloud, keeps X_k - Y_l as accurate as x_k - y_l.
+    """
     if x.shape[1] == 1:
-        return pot.deriv(x - y.T)[:, None, :]
-    diff = x[:, :, None] - y.T[None, :, :]
-    r = _radius(diff)
-    g = pot.deriv(r)
-    coef = np.divide(g, r, out=np.zeros_like(g), where=r > 0.0)
-    return coef[:, None, :] * diff
+        return x, w[:, None], -w[:, None]
+    X = x - c
+    b = np.column_stack([w, w[:, None] * X])
+    return X, b, b
 
 
-def _value_block(pot: ScalarPotential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """W(x_k - y_l) for a row tile x (T, d) against y (L, d), as (T, L)."""
-    if x.shape[1] == 1:
-        return pot.value(x - y.T)
-    return pot.value(_radius(x[:, :, None] - y.T[None, :, :]))
+def _field(X: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The field at X from its summed tile products s (see _sources)."""
+    return s if X.shape[1] == 1 else X * s[:, :1] - s[:, 1:]
+
+
+def _sq_dist(x: np.ndarray, yT: np.ndarray) -> np.ndarray:
+    """|x_k - y_l|^2 (T, L) for x (T, d) against yT (d, L), accumulated axis by axis."""
+    r2 = np.zeros((len(x), yT.shape[1]))
+    for xa, ya in zip(x.T, yT):
+        diff = xa[:, None] - ya
+        diff *= diff
+        r2 += diff
+    return r2
+
+
+def _field_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
+    """The tile K (T, L) of a row tile x (T, d) against yT (d, L) (see _sources)."""
+    if len(yT) == 1:
+        return pot.deriv(x - yT)
+    return pot._slope(_sq_dist(x, yT))
+
+
+def _grad_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
+    """grad W(x_k - y_l) for a row tile x (T, d) against yT (d, L), laid out (T, d, L):
+    the pointwise test of a non-finite field."""
+    K = _field_block(pot, x, yT)[:, None, :]
+    return K if len(yT) == 1 else K * (x[:, :, None] - yT)
+
+
+def _value_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
+    """W(x_k - y_l) for a row tile x (T, d) against yT (d, L), as (T, L)."""
+    if len(yT) == 1:
+        return pot.value(x - yT)
+    return pot.value(np.sqrt(_sq_dist(x, yT)))
 
 
 @dataclass(frozen=True)
@@ -484,17 +519,24 @@ class Morse(ScalarPotential):
         if self.la <= 0.0 or self.lr <= 0.0:
             raise ValueError("Morse length scales la, lr must be positive")
 
-    def _smoothed_radius(self, z):
-        return np.sqrt(z * z + self.eps * self.eps)
+    def _smoothed_radius(self, z2):
+        return np.sqrt(z2 + self.eps * self.eps)
+
+    def _radial(self, s):
+        """dW/ds at smoothed radius s."""
+        return self.ca / self.la * np.exp(-s / self.la) - self.cr / self.lr * np.exp(-s / self.lr)
 
     def _value(self, z):
-        s = self._smoothed_radius(z)
+        s = self._smoothed_radius(z * z)
         return -self.ca * np.exp(-s / self.la) + self.cr * np.exp(-s / self.lr)
 
     def _deriv(self, z):
-        s = self._smoothed_radius(z)
-        radial = self.ca / self.la * np.exp(-s / self.la) - self.cr / self.lr * np.exp(-s / self.lr)
-        return z / s * radial
+        s = self._smoothed_radius(z * z)
+        return z / s * self._radial(s)
+
+    def _slope(self, r2):
+        s = self._smoothed_radius(r2)
+        return self._radial(s) / s
 
     def is_identically_zero(self):
         return self.ca == 0.0 and self.cr == 0.0
@@ -518,10 +560,11 @@ class GaussianAR(ScalarPotential):
         return -self.ca * np.exp(-z2 / self.la) + self.cr * np.exp(-z2 / self.lr)
 
     def _deriv(self, z):
-        z2 = z * z
-        radial = 2.0 * self.ca / self.la * np.exp(-z2 / self.la) \
-            - 2.0 * self.cr / self.lr * np.exp(-z2 / self.lr)
-        return z * radial
+        return z * self._slope(z * z)
+
+    def _slope(self, r2):
+        return 2.0 * self.ca / self.la * np.exp(-r2 / self.la) \
+            - 2.0 * self.cr / self.lr * np.exp(-r2 / self.lr)
 
     def is_identically_zero(self):
         return self.ca == 0.0 and self.cr == 0.0

@@ -117,9 +117,10 @@ def _nonfinite_witness(xs, pm: PotentialMatrix, block=_grad_block) -> dict:
     non-finite point (i, k); else {}."""
     for i, j in np.ndindex(pm.n, pm.n):
         rows = max(1, _TILE // len(xs[j]))
+        yT = np.ascontiguousarray(xs[j].T)
         for k0 in range(0, len(xs[i]), rows):
             with np.errstate(**_QUIET):
-                g = block(pm.entries[i][j], xs[i][k0:k0 + rows], xs[j])
+                g = block(pm.entries[i][j], xs[i][k0:k0 + rows], yT)
             bad = np.argwhere(~np.isfinite(g.reshape(len(g), -1, len(xs[j]))).all(axis=1))
             if bad.size:
                 k, l = map(int, bad[0])

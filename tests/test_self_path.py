@@ -1,9 +1,11 @@
-"""The self path of the pairwise engine, and kernel symmetry properties.
+"""The self path of the pairwise engine, the direct tiles in d > 1, and kernel symmetry.
 
 ``self_fields`` / ``self_energy`` evaluate each unordered pair of a cloud
-once, sweeping the upper triangle in row tiles.  The oracle is the
+once, sweeping the upper triangle in row tiles.  One oracle is the
 two-sided direct sum ``cloud_fields`` / ``cloud_energy`` of the cloud
-against a copy of itself, which evaluates every ordered pair.
+against a copy of itself, which evaluates every ordered pair.  In d > 1 both
+sum tiles of W'(r)/r by matrix products, so a naive full-broadcast sum of
+W'(r) z / r and W(r) over every ordered pair checks them independently.
 """
 
 import numpy as np
@@ -49,6 +51,53 @@ def test_self_path_matches_two_sided_direct_sum(monkeypatch, kind, d, N, tile):
     assert f.shape == direct_f.shape
     assert np.abs(f - direct_f).max() <= 1e-12 * (1.0 + np.abs(direct_f).max())
     assert abs(e - direct_e) <= 1e-12 * (1.0 + abs(direct_e))
+
+
+def naive_fields(kind, x, y, wy):
+    """sum_l wy_l W'(r) z / r, z = x_k - y_l, r = |z|, 0 at r = 0, over a full (N, L, d) broadcast."""
+    z = x[:, None, :] - y[None, :, :]
+    r = np.sqrt((z * z).sum(axis=-1))
+    unit = np.divide(z, r[..., None], out=np.zeros_like(z), where=r[..., None] > 0.0)
+    return np.einsum("l,kl,kld->kd", wy, kind.deriv(r), unit)
+
+
+def naive_energy(kind, x, wx, y, wy):
+    z = x[:, None, :] - y[None, :, :]
+    return float(wx @ kind.value(np.sqrt((z * z).sum(axis=-1))) @ wy)
+
+
+def close(a, b):
+    return np.abs(a - b).max() <= 1e-12 * (1.0 + np.abs(b).max())
+
+
+@pytest.mark.parametrize("kind", DIRECT_KINDS + [mg.Power(1.5, 0.5)], ids=kind_id)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("tile", [None, 64], ids=["default-tile", "tile64"])
+def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, tile):
+    if tile is not None:
+        monkeypatch.setattr(potentials, "_TILE", tile)
+    x, wx = cloud(120, d, seed=d)
+    y, wy = cloud(70, d, seed=d + 10)
+    x[7] = x[3]  # a repeated point of the self cloud
+    y[5] = x[3]  # and a point of the source cloud on it
+    x, y = x + offset, y + offset
+    fx, fy = kind.cloud_fields(x, wx, y, wy)
+    assert close(fx, naive_fields(kind, x, y, wy))
+    assert close(fy, naive_fields(kind, y, x, wx))
+    assert close(kind.self_fields(x, wx), naive_fields(kind, x, x, wx))
+    for e, naive in [(kind.cloud_energy(x, wx, y, wy), naive_energy(kind, x, wx, y, wy)),
+                     (kind.self_energy(x, wx), naive_energy(kind, x, wx, x, wx))]:
+        assert abs(e - naive) <= 1e-12 * (1.0 + abs(naive))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + [mg.Power(1.5, 0.5)], ids=kind_id)
+def test_slope_is_the_derivative_over_the_radius(kind):
+    r = np.concatenate([[0.0, 1e-8], np.linspace(1e-3, 6.0, 500)])
+    slope = kind._slope(r * r)
+    assert np.all(np.isfinite(slope))
+    expected = kind.deriv(r[1:]) / r[1:]
+    assert np.abs(slope[1:] - expected).max() <= 1e-14 * (1.0 + np.abs(expected).max())
 
 
 def test_engine_takes_the_self_path_on_diagonal_pairs(monkeypatch):

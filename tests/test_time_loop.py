@@ -111,6 +111,22 @@ def test_particle_blowup_names_the_pair(scheme):
     assert exc.value.partial.times[0] == 0.0
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_particle_blowup_in_the_plane_names_the_pair(scheme):
+    # The d = 1 blow-up turned into the plane: the same pair overflows at the same stage.
+    qs, pm = blowup()
+    ps = mg.ParticleState([np.array([[-0.6, -0.8], [0.6, 0.8]])], [np.array([0.5, 0.5])],
+                          mg.SystemParams(m=[1.0], p=[1.0], E=[0.0, 0.0], d=2))
+    cfg = SolverConfig(dt=0.5, t_end=5.0, scheme=scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mg.NumericsError) as line:
+            mg.run_particles(particles_from_quantile(qs), pm, cfg)
+        with pytest.raises(mg.NumericsError) as plane:
+            mg.run_particles(ps, pm, cfg)
+    assert plane.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
+    assert plane.value.partial.times == line.value.partial.times
+
+
 def test_last_recorded_field_is_checked():
     # A run of no steps on a finite state whose field overflows: no step
     # takes the recorded field as its first stage, so the loop checks it.
