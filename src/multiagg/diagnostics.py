@@ -4,7 +4,8 @@ All quadratures use the same flat midpoint rule over the M equal-mass cells
 as the solver right-hand side, so a state is diagnosed as steady exactly when
 the solver would not move it.  Energy and force field are the pairwise engine
 ``potentials.pair_energy`` / ``pair_fields`` on the grid as weighted clouds,
-the calls both solvers make; ``energy`` serves particle states as well.
+the calls both solvers make; ``energy`` serves particle states as well.  A
+record takes both from one engine pass.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ def energy(state, pm: PotentialMatrix) -> float:
     return pair_energy(pm, *state.clouds())
 
 
-def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
+def force_field(qs: QuantileState, pm: PotentialMatrix, energy=False):
     """Convolved force sum_j (p_j/M) sum_l W'_ij(u_i[k] - u_j[l]) at each cell.
 
     This is the stationarity residual field: the solver velocity equals
-    -m_i times this quantity.
+    -m_i times this quantity.  With ``energy``, returns (field, ``energy``)
+    from one engine pass.
     """
-    return np.stack(pair_fields(pm, *qs.clouds()))[:, :, 0]
+    sums = pair_fields(pm, *qs.clouds(), energy)
+    field = np.stack(sums[0] if energy else sums)[:, :, 0]
+    return (field, sums[1]) if energy else field
 
 
 def dissipation(qs: QuantileState, pm: PotentialMatrix, field=None) -> float:
@@ -126,13 +130,15 @@ def fit_decay_rate(times, values, window, predicted_rate: Optional[float] = None
 
 
 def record(qs: QuantileState, pm: PotentialMatrix, t: float,
-           ground: Optional[QuantileState] = None, field=None) -> DiagnosticsRecord:
-    """Assemble the standard per-snapshot diagnostics; ``field`` as in ``dissipation``."""
+           ground: Optional[QuantileState] = None, sums=None) -> DiagnosticsRecord:
+    """Assemble the standard per-snapshot diagnostics; ``sums``, the (field, energy) of
+    ``force_field(qs, pm, energy=True)``, is computed unless given."""
+    field, en = force_field(qs, pm, energy=True) if sums is None else sums
     lo, hi, diam = support_and_diameter(qs)
     w2 = compound_distance(qs, ground) if ground is not None else None
     return DiagnosticsRecord(
         t=float(t),
-        energy=energy(qs, pm),
+        energy=en,
         dissipation=dissipation(qs, pm, field),
         E_invariant=weighted_center_of_mass(qs),
         supp_lo=lo,
@@ -152,9 +158,8 @@ def steady_state_check(trajectory, pm: PotentialMatrix, tol: float = 1e-8) -> St
     if not trajectory.states:
         raise ValueError("trajectory is empty")
     qs = trajectory.states[-1]
-    field = force_field(qs, pm)
+    field, en = force_field(qs, pm, energy=True)
     dis = dissipation(qs, pm, field)
-    en = energy(qs, pm)
     residuals = np.abs(field).max(axis=1)
     verdict = bool(abs(dis) < tol * (1.0 + abs(en)))
     return SteadyStateReport(verdict, dis, en, residuals, tol)

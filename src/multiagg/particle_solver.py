@@ -10,8 +10,10 @@ the signed displacement.  Forces and energies come from the engine
 ``potentials.pair_fields`` / ``pair_energy`` (each pair once, row tiles of
 bounded size).  On 1-d equal-mass atomic data that is the quantile solver's
 call, so both agree bit-exactly.  ``run_particles`` is the quantile solver's
-time loop, whose projection leaves a particle state unchanged;
-``discrete_energy`` is ``diagnostics.energy``.
+time loop, whose projection leaves a particle state unchanged.  As there, a
+recorded state's field and energy come from one engine pass and the field is
+the next step's first stage, so an RK4 run of S steps makes 4S + 1 passes.
+``discrete_energy`` is ``diagnostics.energy``, bit for bit a recorded energy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .diagnostics import energy as discrete_energy
 from .measures import ParticleState
-from .potentials import PotentialMatrix
+from .potentials import PotentialMatrix, pair_fields
 from .quantile_solver import (_QUIET, SolverConfig, _check_records, _integrate, _resolve_dt,
                               _velocity)
 
@@ -76,7 +78,9 @@ def run_particles(ps0: ParticleState, pm: PotentialMatrix, cfg: SolverConfig) ->
         traj.times.append(t)
         traj.states.append(ps)
         with np.errstate(**_QUIET):
-            traj.energies.append(discrete_energy(ps, pm))
+            field, energy = pair_fields(pm, *ps.clouds(), True)
+        traj.energies.append(energy)
+        return field
 
     _integrate(ps0, pm, cfg, traj, record)
     _check_records(traj, pm, [{"energy": e} for e in traj.energies])

@@ -28,10 +28,14 @@ Three ways to sum a pair:
   moments over the windows that each target's knots cut out, found by
   ``searchsorted``.
 * Every other kind or d: directly in bounded row tiles, each one matrix of
-  W'(x - y) in d = 1 or of W'(r)/r in d > 1 (``_field_block``) times the
-  sources of both fields.  The self path evaluates each unordered pair of
-  points once: row tiles sweep the upper triangle, and a block's columns
-  past its rows feed the later points.
+  W'(x - y) in d = 1 or of W'(r)/r in d > 1 (``_tile``) times the sources
+  of both fields.  The self path evaluates each unordered pair of points
+  once: row tiles sweep the upper triangle, and a block's columns past its
+  rows feed the later points.
+
+``pair_fields(..., energy=True)`` also sums E in the same tiles, each one
+kernel evaluation of W' and W (``_line`` from z in d = 1, ``_radial`` from r^2
+in d > 1).  An energy-only sum is that pass, so both agree bit for bit.
 """
 
 from __future__ import annotations
@@ -52,34 +56,45 @@ _TILE = 16384  # kernel evaluations per row tile of a directly summed block
 np.empty(32 * _TILE)
 
 
-def _maybe_scalar(out: np.ndarray, z) -> "np.ndarray | float":
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+def _pointwise(f, z):
+    """f on z as a float array; a 0-d z goes in as one element (kernels write in place
+    to arrays they make) and comes out a float."""
+    za = np.asarray(z, dtype=float)
+    return float(f(za.reshape(1))[0]) if za.ndim == 0 else f(za)
 
 
 class ScalarPotential:
     """Base class: an even C1 kernel of a scalar displacement.
 
     Subclasses implement ``_value`` and ``_deriv`` on float arrays; both are
-    vectorized.  ``deriv`` must be odd with ``deriv(0) == 0``.
+    vectorized.  ``deriv`` must be odd with ``deriv(0) == 0``.  A kind may
+    override the tile evaluations ``_line`` / ``_radial`` to share work.
     """
 
     def value(self, z):
         """Evaluate the potential at displacement(s) z."""
-        za = np.asarray(z, dtype=float)
-        return _maybe_scalar(self._value(za), z)
+        return _pointwise(self._value, z)
 
     def deriv(self, z):
         """Evaluate the derivative at displacement(s) z (odd function)."""
-        za = np.asarray(z, dtype=float)
-        return _maybe_scalar(self._deriv(za), z)
+        return _pointwise(self._deriv, z)
 
     def _value(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _deriv(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _line(self, z, value: bool):
+        """(W'(z), W(z) if ``value`` else None) on a d = 1 tile of displacements z."""
+        return self._deriv(z), (self._value(z) if value else None)
+
+    def _radial(self, r2, value: bool):
+        """(W'(r)/r, 0 at r = 0, the radial field coefficient; W(r) if ``value`` else None)
+        on a d > 1 tile of r2 = r^2, which is overwritten."""
+        r = np.sqrt(r2, out=r2)
+        v = self._value(r) if value else None
+        return np.divide(self._deriv(r), r, out=r, where=r > 0.0), v
 
     def is_identically_zero(self) -> bool:
         """Structural test: does the kernel vanish everywhere?"""
@@ -93,38 +108,36 @@ class ScalarPotential:
         """
         return not self.is_identically_zero()
 
-    def _slope(self, r2: np.ndarray) -> np.ndarray:
-        """W'(r)/r at r = sqrt(r2), 0 at r = 0: the radial field coefficient in d > 1."""
-        r = np.sqrt(r2)
-        return np.divide(self._deriv(r), r, out=r, where=r > 0.0)
-
-    def cloud_fields(self, x, wx, y, wy):
+    def cloud_fields(self, x, wx, y, wy, energy=False):
         """Pair fields between weighted point clouds, summed directly.
 
         ``x`` (N, d) with weights ``wx`` (N,), ``y`` (L, d) with ``wy`` (L,).
         Returns (sum_l wy_l grad W(x_k - y_l), sum_k wx_k grad W(y_l - x_k));
         in d = 1 the second negates the same blocks, bit-exactly as W' is odd.
+        With ``energy``, ``cloud_energy`` from the same tiles follows: (fx, fy, E).
         """
         X, _, rev = _sources(x, wx, y[0])
         Y, fwd, _ = _sources(y, wy, y[0])
         yT = np.ascontiguousarray(Y.T)
         sx, sy = np.empty((len(x), fwd.shape[1])), np.zeros((rev.shape[1], len(y)))
+        total = 0.0
         rows = max(1, _TILE // len(y))
         for k0 in range(0, len(x), rows):
-            K = _field_block(self, X[k0:k0 + rows], yT)
+            K, V = _tile(self, X[k0:k0 + rows], yT, value=energy)
             sx[k0:k0 + rows] = K @ fwd
             sy += rev[k0:k0 + rows].T @ K
-        return _field(X, sx), _field(Y, sy.T)
+            if energy:
+                total += wx[k0:k0 + rows] @ V @ wy
+        f = _field(X, sx), _field(Y, sy.T)
+        return f + (float(total),) if energy else f
 
     def cloud_energy(self, x, wx, y, wy) -> float:
-        """sum_kl wx_k wy_l W(x_k - y_l), summed directly; clouds as in cloud_fields."""
-        yT = np.ascontiguousarray(y.T)
-        rows = max(1, _TILE // len(y))
-        return float(sum(wx[k0:k0 + rows] @ _value_block(self, x[k0:k0 + rows], yT) @ wy
-                         for k0 in range(0, len(x), rows)))
+        """sum_kl wx_k wy_l W(x_k - y_l), from the tiles of cloud_fields."""
+        return self.cloud_fields(x, wx, y, wy, energy=True)[2]
 
-    def self_fields(self, x, w):
-        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), each unordered pair once.
+    def self_fields(self, x, w, energy=False):
+        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), each unordered pair once;
+        with ``energy``, ``self_energy`` from the same tiles follows: (f, E).
 
         Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
         feeds rows k0:k1, and its columns past k1 feed points k1:.
@@ -132,20 +145,20 @@ class ScalarPotential:
         X, fwd, rev = _sources(x, w, x[0])
         xT = np.ascontiguousarray(X.T)
         s = np.zeros_like(fwd)
-        for k0, k1 in _triangle_tiles(len(x)):
-            K = _field_block(self, X[k0:k1], xT[:, k0:])
-            s[k0:k1] += K @ fwd[k0:]
-            s[k1:] += (rev[k0:k1].T @ K)[:, k1 - k0:].T
-        return _field(X, s)
-
-    def self_energy(self, x, w) -> float:
-        """sum_kl w_k w_l W(x_k - x_l) over the upper triangle: diagonal tiles plus twice the rest."""
-        xT = np.ascontiguousarray(x.T)
         total = 0.0
         for k0, k1 in _triangle_tiles(len(x)):
-            row = w[k0:k1] @ _value_block(self, x[k0:k1], xT[:, k0:])
-            total += row[:k1 - k0] @ w[k0:k1] + 2.0 * (row[k1 - k0:] @ w[k1:])
-        return float(total)
+            K, V = _tile(self, X[k0:k1], xT[:, k0:], value=energy)
+            s[k0:k1] += K @ fwd[k0:]
+            s[k1:] += (rev[k0:k1].T @ K)[:, k1 - k0:].T
+            if energy:
+                row = w[k0:k1] @ V
+                total += row[:k1 - k0] @ w[k0:k1] + 2.0 * (row[k1 - k0:] @ w[k1:])
+        return (_field(X, s), float(total)) if energy else _field(X, s)
+
+    def self_energy(self, x, w) -> float:
+        """sum_kl w_k w_l W(x_k - x_l) over the upper triangle, from the tiles of self_fields:
+        diagonal tiles plus twice the rest."""
+        return self.self_fields(x, w, energy=True)[1]
 
 
 def _triangle_tiles(N: int):
@@ -164,7 +177,8 @@ def _sources(x: np.ndarray, w: np.ndarray, c: np.ndarray):
     is odd, -w K.  In d > 1, K holds C = W'(r)/r, X = x - c and
     sum_l w_l grad W(x_k - y_l) = X_k (C w)_k - (C (w Y))_k: one product with
     [w, w X] both ways, as C is even (see _field).  Taking c, a point of the
-    source cloud, keeps X_k - Y_l as accurate as x_k - y_l.
+    source cloud, keeps X_k - Y_l as accurate as x_k - y_l.  Energies are
+    summed over the same coordinates.
     """
     if x.shape[1] == 1:
         return x, w[:, None], -w[:, None]
@@ -180,33 +194,33 @@ def _field(X: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _sq_dist(x: np.ndarray, yT: np.ndarray) -> np.ndarray:
     """|x_k - y_l|^2 (T, L) for x (T, d) against yT (d, L), accumulated axis by axis."""
-    r2 = np.zeros((len(x), yT.shape[1]))
-    for xa, ya in zip(x.T, yT):
+    r2 = x[:, :1] - yT[0]
+    r2 *= r2
+    for xa, ya in zip(x.T[1:], yT[1:]):
         diff = xa[:, None] - ya
         diff *= diff
         r2 += diff
     return r2
 
 
-def _field_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
-    """The tile K (T, L) of a row tile x (T, d) against yT (d, L) (see _sources)."""
+def _tile(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray, value=False):
+    """(K, V) of a row tile x (T, d) against yT (d, L) from one kernel evaluation, both
+    (T, L): the tile K (see _sources) and, if ``value``, V = W(x_k - y_l), else None."""
     if len(yT) == 1:
-        return pot.deriv(x - yT)
-    return pot._slope(_sq_dist(x, yT))
+        return pot._line(x - yT, value)
+    return pot._radial(_sq_dist(x, yT), value)
 
 
 def _grad_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
     """grad W(x_k - y_l) for a row tile x (T, d) against yT (d, L), laid out (T, d, L):
     the pointwise test of a non-finite field."""
-    K = _field_block(pot, x, yT)[:, None, :]
+    K = _tile(pot, x, yT)[0][:, None, :]
     return K if len(yT) == 1 else K * (x[:, :, None] - yT)
 
 
 def _value_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
     """W(x_k - y_l) for a row tile x (T, d) against yT (d, L), as (T, L)."""
-    if len(yT) == 1:
-        return pot.value(x - yT)
-    return pot.value(np.sqrt(_sq_dist(x, yT)))
+    return _tile(pot, x, yT, True)[1]
 
 
 @dataclass(frozen=True)
@@ -238,7 +252,7 @@ class Quadratic(ScalarPotential):
     def is_identically_zero(self):
         return self.a == 0.0
 
-    def cloud_fields(self, x, wx, y, wy):
+    def cloud_fields(self, x, wx, y, wy, energy=False):
         """Exact pair fields between weighted point clouds, by moments.
 
         As ``ScalarPotential.cloud_fields``; for this kernel the fields are
@@ -246,7 +260,8 @@ class Quadratic(ScalarPotential):
         """
         Wx, cx = _weighted_mean(x, wx)
         Wy, cy = _weighted_mean(y, wy)
-        return self.a * Wy * (x - cy), self.a * Wx * (y - cx)
+        f = self.a * Wy * (x - cy), self.a * Wx * (y - cx)
+        return f + (self.cloud_energy(x, wx, y, wy),) if energy else f
 
     def cloud_energy(self, x, wx, y, wy) -> float:
         """sum_kl wx_k wy_l W(|x_k - y_l|) by weighted central moments:
@@ -257,10 +272,11 @@ class Quadratic(ScalarPotential):
         spread = float(dc @ dc) + _weighted_var(x, wx, Wx, cx) + _weighted_var(y, wy, Wy, cy)
         return float(0.5 * self.a * Wx * Wy * spread)
 
-    def self_fields(self, x, w):
+    def self_fields(self, x, w, energy=False):
         """Exact self field a W (x - mean), as ``cloud_fields(x, w, x, w)[0]``."""
         W, c = _weighted_mean(x, w)
-        return self.a * W * (x - c)
+        f = self.a * W * (x - c)
+        return (f, self.self_energy(x, w)) if energy else f
 
     def self_energy(self, x, w) -> float:
         """Exact self energy a W^2 var, as ``cloud_energy(x, w, x, w)``."""
@@ -368,7 +384,7 @@ class _Profile:
         """
         D = H.shape[0]
         y0, w0 = y[:, 0], w
-        if not self.even:
+        if not self.even and np.any(y0[1:] < y0[:-1]):  # quantile clouds arrive sorted
             order = y0.argsort()
             y0, w0 = y0[order], w0[order]
         c = y0[len(y0) // 2]
@@ -444,21 +460,23 @@ class _PiecewisePolynomial(ScalarPotential):
     def is_identically_zero(self):
         return self._profile.zero
 
-    def cloud_fields(self, x, wx, y, wy):
+    def cloud_fields(self, x, wx, y, wy, energy=False):
         if not self._by_moments(x):
-            return super().cloud_fields(x, wx, y, wy)
+            return super().cloud_fields(x, wx, y, wy, energy)
         p = self._profile
-        return p.sums(p.deriv, x, y, wy)[:, None], p.sums(p.deriv, y, x, wx)[:, None]
+        f = p.sums(p.deriv, x, y, wy)[:, None], p.sums(p.deriv, y, x, wx)[:, None]
+        return f + (self.cloud_energy(x, wx, y, wy),) if energy else f
 
     def cloud_energy(self, x, wx, y, wy) -> float:
         if not self._by_moments(x):
             return super().cloud_energy(x, wx, y, wy)
         return float(wx @ self._profile.sums(self._profile.value, x, y, wy))
 
-    def self_fields(self, x, w):
+    def self_fields(self, x, w, energy=False):
         if not self._by_moments(x):
-            return super().self_fields(x, w)
-        return self._profile.sums(self._profile.deriv, x, x, w)[:, None]
+            return super().self_fields(x, w, energy)
+        f = self._profile.sums(self._profile.deriv, x, x, w)[:, None]
+        return (f, self.self_energy(x, w)) if energy else f
 
     def self_energy(self, x, w) -> float:
         if not self._by_moments(x):
@@ -496,7 +514,43 @@ class Power(_PiecewisePolynomial):
 
 
 @dataclass(frozen=True)
-class Morse(ScalarPotential):
+class _TwoExponentials(ScalarPotential):
+    """W = -ca e^{-q/la} + cr e^{-q/lr} in a q of the radius: a tile evaluates both
+    exponentials once, for W and W' together."""
+
+    ca: float
+    la: float
+    cr: float
+    lr: float
+
+    def __post_init__(self):
+        if self.la <= 0.0 or self.lr <= 0.0:
+            raise ValueError(f"{type(self).__name__} length scales la, lr must be positive")
+
+    def _value(self, z):
+        return self._line(z, True)[1]
+
+    def _deriv(self, z):
+        return self._line(z, False)[0]
+
+    def _terms(self, q, a, b, value):
+        """(a e^{-q/la} - b e^{-q/lr}, W if ``value`` else None); each in-place step
+        rounds as the written-out expression does."""
+        ea, er = np.divide(q, -self.la), np.divide(q, -self.lr)
+        np.exp(ea, out=ea)
+        np.exp(er, out=er)
+        v = -self.ca * ea + self.cr * er if value else None
+        ea *= a
+        er *= b
+        ea -= er
+        return ea, v
+
+    def is_identically_zero(self):
+        return self.ca == 0.0 and self.cr == 0.0
+
+
+@dataclass(frozen=True)
+class Morse(_TwoExponentials):
     """Smoothed attractive-repulsive kernel -ca e^{-s/la} + cr e^{-s/lr}.
 
     The classical version uses s = |z|, which has a kink at the origin; this
@@ -504,10 +558,6 @@ class Morse(ScalarPotential):
     s = sqrt(z^2 + eps^2) so the kernel is C1 everywhere.
     """
 
-    ca: float
-    la: float
-    cr: float
-    lr: float
     eps: float = 0.0
 
     def __post_init__(self):
@@ -516,58 +566,36 @@ class Morse(ScalarPotential):
                 "Morse kernel has a derivative jump at the origin; "
                 "pass a smoothing length eps > 0"
             )
-        if self.la <= 0.0 or self.lr <= 0.0:
-            raise ValueError("Morse length scales la, lr must be positive")
+        super().__post_init__()
 
-    def _smoothed_radius(self, z2):
-        return np.sqrt(z2 + self.eps * self.eps)
+    def _smoothed(self, z2, value):
+        """(dW/ds, W if ``value``) at s = sqrt(z2 + eps^2), computed in z2, and s."""
+        z2 += self.eps * self.eps
+        s = np.sqrt(z2, out=z2)
+        return self._terms(s, self.ca / self.la, self.cr / self.lr, value), s
 
-    def _radial(self, s):
-        """dW/ds at smoothed radius s."""
-        return self.ca / self.la * np.exp(-s / self.la) - self.cr / self.lr * np.exp(-s / self.lr)
+    def _line(self, z, value):
+        (dW, v), s = self._smoothed(z * z, value)
+        dW *= np.divide(z, s, out=s)
+        return dW, v
 
-    def _value(self, z):
-        s = self._smoothed_radius(z * z)
-        return -self.ca * np.exp(-s / self.la) + self.cr * np.exp(-s / self.lr)
-
-    def _deriv(self, z):
-        s = self._smoothed_radius(z * z)
-        return z / s * self._radial(s)
-
-    def _slope(self, r2):
-        s = self._smoothed_radius(r2)
-        return self._radial(s) / s
-
-    def is_identically_zero(self):
-        return self.ca == 0.0 and self.cr == 0.0
+    def _radial(self, r2, value):
+        (dW, v), s = self._smoothed(r2, value)
+        dW /= s
+        return dW, v
 
 
 @dataclass(frozen=True)
-class GaussianAR(ScalarPotential):
+class GaussianAR(_TwoExponentials):
     """Gaussian attractive-repulsive kernel -ca e^{-z^2/la} + cr e^{-z^2/lr}."""
 
-    ca: float
-    la: float
-    cr: float
-    lr: float
+    def _line(self, z, value):
+        g, v = self._radial(z * z, value)
+        g *= z
+        return g, v
 
-    def __post_init__(self):
-        if self.la <= 0.0 or self.lr <= 0.0:
-            raise ValueError("GaussianAR length scales la, lr must be positive")
-
-    def _value(self, z):
-        z2 = z * z
-        return -self.ca * np.exp(-z2 / self.la) + self.cr * np.exp(-z2 / self.lr)
-
-    def _deriv(self, z):
-        return z * self._slope(z * z)
-
-    def _slope(self, r2):
-        return 2.0 * self.ca / self.la * np.exp(-r2 / self.la) \
-            - 2.0 * self.cr / self.lr * np.exp(-r2 / self.lr)
-
-    def is_identically_zero(self):
-        return self.ca == 0.0 and self.cr == 0.0
+    def _radial(self, r2, value):
+        return self._terms(r2, 2.0 * self.ca / self.la, 2.0 * self.cr / self.lr, value)
 
 
 @dataclass(frozen=True)
@@ -744,23 +772,28 @@ def _live_pairs(pm: PotentialMatrix):
                 yield i, j, pot
 
 
-def pair_fields(pm: PotentialMatrix, xs, ws) -> list:
+def pair_fields(pm: PotentialMatrix, xs, ws, energy=False):
     """Interaction fields F_i[k] = sum_j sum_l ws[j][l] grad W_ij(xs[i][k] - xs[j][l]).
 
     ``xs[i]`` (N_i, d) holds the points of species i and ``ws[i]`` (N_i,)
     their weights; returns one (N_i, d) array per species.  Each pair i < j
     is evaluated once and feeds both species; each pair i == j takes the
-    kernel's self path.
+    kernel's self path.  With ``energy``, returns (fields, E): E is
+    ``pair_energy``, bit for bit, from the same kernel evaluations.
     """
     out = [np.zeros_like(x) for x in xs]
+    total = 0.0
     for i, j, pot in _live_pairs(pm):
         if j == i:
-            out[i] += pot.self_fields(xs[i], ws[i])
+            sums = pot.self_fields(xs[i], ws[i], energy=energy)
+            out[i] += sums[0] if energy else sums
+            total += sums[1] if energy else 0.0
         else:
-            fi, fj = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j])
-            out[i] += fi
-            out[j] += fj
-    return out
+            sums = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j], energy=energy)
+            out[i] += sums[0]
+            out[j] += sums[1]
+            total += 2.0 * sums[2] if energy else 0.0
+    return (out, float(0.5 * total)) if energy else out
 
 
 def pair_energy(pm: PotentialMatrix, xs, ws) -> float:

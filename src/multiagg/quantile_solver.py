@@ -271,7 +271,8 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
     On a numeric failure the partial trajectory is attached to the raised
     NumericsError.  The recorded diagnostics include the compound distance to
     the concentrated ground state whenever the convexity modulus is positive.
-    A recorded state's force field serves its dissipation and the next step.
+    A recorded state's force field and energy come from one engine pass; the
+    field serves its dissipation and the next step.
     """
     traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(qs0, pm, cfg))
     positive = modulus(pm.kappa, qs0.params) > 0.0
@@ -286,11 +287,11 @@ def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajector
     def record(qs, t):
         # The loop checks the field; the other values are checked once the run ends.
         with np.errstate(**_QUIET):
-            field = diagnostics.force_field(qs, pm)
-            traj.records.append(diagnostics.record(qs, pm, t, ground, field))
+            sums = diagnostics.force_field(qs, pm, energy=True)
+            traj.records.append(diagnostics.record(qs, pm, t, ground, sums))
         traj.times.append(t)
         traj.states.append(qs)
-        return field[:, :, None]
+        return sums[0][:, :, None]
 
     _integrate(qs0, pm, cfg, traj, record, project)
     _check_records(traj, pm, [{name: v for name, v in vars(r).items()

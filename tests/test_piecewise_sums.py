@@ -139,6 +139,22 @@ class _NoPointwise:
 
 
 @pytest.mark.parametrize("kind", PIECEWISE_KINDS, ids=kind_id)
+def test_sorted_and_shuffled_sources_agree(kind):
+    # A sorted source is taken as it comes, without a sort; tied points with
+    # unequal weights may then enter the prefix sums in another order.
+    rng = np.random.default_rng(8)
+    y = np.sort(np.round(rng.normal(0.0, 1.0, 60), 1))[:, None]
+    w = rng.uniform(0.2, 1.5, 60)
+    assert len(np.unique(y)) < len(y)
+    x = np.concatenate([rng.normal(0.0, 1.2, (25, 1)), y])
+    shuffle = rng.permutation(len(y))
+    p = kind._profile
+    for H in (p.value, p.deriv):
+        as_sorted, shuffled = p.sums(H, x, y, w), p.sums(H, x, y[shuffle], w[shuffle])
+        assert np.abs(as_sorted - shuffled).max() <= 1e-13 * (1.0 + np.abs(shuffled).max())
+
+
+@pytest.mark.parametrize("kind", PIECEWISE_KINDS, ids=kind_id)
 def test_one_dimensional_sums_never_evaluate_pointwise(kind):
     cls = type(kind)
     strict = type("Strict" + cls.__name__, (_NoPointwise, cls), {})

@@ -5,7 +5,8 @@ once, sweeping the upper triangle in row tiles.  One oracle is the
 two-sided direct sum ``cloud_fields`` / ``cloud_energy`` of the cloud
 against a copy of itself, which evaluates every ordered pair.  In d > 1 both
 sum tiles of W'(r)/r by matrix products, so a naive full-broadcast sum of
-W'(r) z / r and W(r) over every ordered pair checks them independently.
+W'(r) z / r and W(r) over every ordered pair checks them independently, and
+checks the energy that the field pass sums on request from the same tiles.
 """
 
 import numpy as np
@@ -86,18 +87,43 @@ def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, 
     assert close(fx, naive_fields(kind, x, y, wy))
     assert close(fy, naive_fields(kind, y, x, wx))
     assert close(kind.self_fields(x, wx), naive_fields(kind, x, x, wx))
+    # The fused pass: fields and energy from the same tiles.
+    gx, gy, cloud_e = kind.cloud_fields(x, wx, y, wy, energy=True)
+    self_f, self_e = kind.self_fields(x, wx, energy=True)
+    assert close(gx, naive_fields(kind, x, y, wy))
+    assert close(gy, naive_fields(kind, y, x, wx))
+    assert close(self_f, naive_fields(kind, x, x, wx))
     for e, naive in [(kind.cloud_energy(x, wx, y, wy), naive_energy(kind, x, wx, y, wy)),
-                     (kind.self_energy(x, wx), naive_energy(kind, x, wx, x, wx))]:
+                     (kind.self_energy(x, wx), naive_energy(kind, x, wx, x, wx)),
+                     (cloud_e, naive_energy(kind, x, wx, y, wy)),
+                     (self_e, naive_energy(kind, x, wx, x, wx))]:
         assert abs(e - naive) <= 1e-12 * (1.0 + abs(naive))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fused_pass_equals_the_separate_sums_bit_for_bit(d):
+    # Every kind, on the self and the cross paths: the fields equal pair_fields
+    # and the energy pair_energy, so a recorded energy is mg.energy of its state.
+    kinds = ALL_KINDS + [mg.Power(1.5, 0.5)]
+    n = len(kinds)
+    entries = [[kinds[(i + j) % n] for j in range(n)] for i in range(n)]
+    pm = mg.matrix_from_entries(entries, kappa=np.zeros((n, n)))
+    xs, ws = zip(*(cloud(17 + 5 * i, d, seed=i) for i in range(n)))
+    fields, energy = potentials.pair_fields(pm, xs, ws, energy=True)
+    for f, g in zip(fields, potentials.pair_fields(pm, xs, ws)):
+        assert np.array_equal(f, g)
+    assert energy == potentials.pair_energy(pm, xs, ws)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + [mg.Power(1.5, 0.5)], ids=kind_id)
 def test_slope_is_the_derivative_over_the_radius(kind):
     r = np.concatenate([[0.0, 1e-8], np.linspace(1e-3, 6.0, 500)])
-    slope = kind._slope(r * r)
+    slope, value = kind._radial(r * r, True)
     assert np.all(np.isfinite(slope))
     expected = kind.deriv(r[1:]) / r[1:]
     assert np.abs(slope[1:] - expected).max() <= 1e-14 * (1.0 + np.abs(expected).max())
+    # The value of the same evaluation, as the pointwise kernel gives it.
+    assert np.abs(value - kind.value(r)).max() <= 1e-14 * (1.0 + np.abs(kind.value(r)).max())
 
 
 def test_engine_takes_the_self_path_on_diagonal_pairs(monkeypatch):
@@ -108,9 +134,9 @@ def test_engine_takes_the_self_path_on_diagonal_pairs(monkeypatch):
     seen = []
     original = type(kind).self_fields
 
-    def counted(self, x, w):
+    def counted(self, x, w, **kwargs):
         seen.append(len(x))
-        return original(self, x, w)
+        return original(self, x, w, **kwargs)
 
     monkeypatch.setattr(type(kind), "self_fields", counted)
     potentials.pair_fields(pm, [x0, x1], [w0, w1])

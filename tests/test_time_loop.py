@@ -1,10 +1,11 @@
 """The one time loop behind both solvers: engine passes per run and where a blow-up is located.
 
-A recorded quantile state's force field serves its dissipation and the first
-stage of the next step, so an RK4 run of S steps evaluates the engine 4S + 1
-times whatever its record interval; particle runs record energies only and
-take 4S.  A non-finite velocity is caught at the stage that produced it and
-named by the first interacting pair (i, j, k, l) that overflows.
+A recorded state's field and energy come from one engine pass, and the field
+serves the first stage of the next step (and, for a quantile state, its
+dissipation), so an RK4 run of S steps evaluates the engine 4S + 1 times
+whatever its record interval, quantile and particle runs alike.  A
+non-finite velocity is caught at the stage that produced it and named by the
+first interacting pair (i, j, k, l) that overflows.
 """
 
 import sys
@@ -61,12 +62,25 @@ def test_euler_run_evaluates_the_engine_s_plus_1_times(monkeypatch):
     assert calls[0] == STEPS + 1
 
 
-def test_particle_run_evaluates_the_engine_4s_times(monkeypatch):
+def test_particle_run_evaluates_the_engine_4s_plus_1_times(monkeypatch):
     qs, pm = two_species()
     calls = count_engine_passes(monkeypatch)
     mg.run_particles(particles_from_quantile(qs), pm,
                      SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="rk4", record_every=1))
-    assert calls[0] == 4 * STEPS
+    assert calls[0] == 4 * STEPS + 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_recorded_energy_is_the_energy_of_the_recorded_state(d):
+    # A record's energy comes from its field pass; the energy alone agrees bit for bit.
+    _, pm = two_species()
+    rng = np.random.default_rng(4)
+    ps = mg.ParticleState([rng.normal(0.0, 1.0, (24, d)) for _ in range(2)],
+                          [np.full(24, 1.0 / 24.0), np.full(24, 1.3 / 24.0)],
+                          mg.SystemParams(m=[1.0, 0.7], p=[1.0, 1.3], E=[0.0] * d, d=d))
+    cfg = SolverConfig(dt=0.01, t_end=5 * 0.01, scheme="rk4", record_every=2)
+    traj = mg.run_particles(ps, pm, cfg)
+    assert traj.energies == [mg.energy(state, pm) for state in traj.states]
 
 
 def test_reused_field_leaves_the_trajectory_unchanged():
@@ -80,6 +94,7 @@ def test_reused_field_leaves_the_trajectory_unchanged():
         assert np.array_equal(state.u, traj.states[k + 1].u)
         rec = mg.diagnostics.record(state, pm, traj.times[k + 1])
         assert rec.dissipation == traj.records[k + 1].dissipation
+        assert traj.records[k + 1].energy == mg.energy(state, pm)
 
 
 def blowup():
