@@ -528,7 +528,8 @@ class _TwoExponentials(ScalarPotential):
             raise ValueError(f"{type(self).__name__} length scales la, lr must be positive")
 
     def _value(self, z):
-        return self._line(z, True)[1]
+        with np.errstate(invalid="ignore"):  # the unused W' is nan at |z| = inf
+            return self._line(z, True)[1]
 
     def _deriv(self, z):
         return self._line(z, False)[0]
@@ -539,7 +540,10 @@ class _TwoExponentials(ScalarPotential):
         ea, er = np.divide(q, -self.la), np.divide(q, -self.lr)
         np.exp(ea, out=ea)
         np.exp(er, out=er)
-        v = -self.ca * ea + self.cr * er if value else None
+        v = None
+        if value:
+            v = -self.ca * ea
+            v += self.cr * er
         ea *= a
         er *= b
         ea -= er

@@ -9,6 +9,8 @@ W'(r) z / r and W(r) over every ordered pair checks them independently, and
 checks the energy that the field pass sums on request from the same tiles.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,15 @@ def test_value_is_bit_exactly_even(kind, z):
     assert kind.value(z) == kind.value(-z)
     zs = np.array([z, -z, 2.0 * z])
     assert np.array_equal(kind.value(zs), kind.value(-zs))
+
+
+@pytest.mark.parametrize("kind", DIRECT_KINDS[:2], ids=kind_id)
+def test_exponential_kinds_vanish_quietly_at_infinity(kind):
+    # Their pointwise value shares its evaluation with W', which is nan there.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kind.value(np.inf) == 0.0
+        assert np.array_equal(kind.value(np.array([-np.inf, np.inf])), [0.0, 0.0])
 
 
 @settings(max_examples=200, deadline=None)
