@@ -2,10 +2,10 @@
 
 All quadratures use the same flat midpoint rule over the M equal-mass cells
 as the solver right-hand side, so a state is diagnosed as steady exactly when
-the solver would not move it.  Energy and force field are the pairwise engine
-``potentials.pair_energy`` / ``pair_fields`` on the grid as weighted clouds,
-the calls both solvers make; ``energy`` serves particle states as well.  A
-record takes both from one engine pass.
+the solver would not move it.  Energy and force field come from the pairwise
+engine ``potentials.pair_fields`` on the grid as weighted clouds, the call
+both solvers make; ``energy`` serves particle states as well.  A record takes
+both from one engine pass, and ``energy`` is that pass's energy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .convexity import SystemParams
 from .measures import QuantileState, compound_distance, weighted_center_of_mass
-from .potentials import PotentialMatrix, pair_energy, pair_fields
+from .potentials import PotentialMatrix, pair_fields
 
 
 @dataclass
@@ -57,7 +57,7 @@ class SteadyStateReport:
 def energy(state, pm: PotentialMatrix) -> float:
     """(1/2) sum_ij sum_kl w_i^k w_j^l W_ij(x_i^k - x_j^l) over the clouds of a quantile
     (w = p_i / M, x = u_i[k]) or particle state; also named ``discrete_energy``."""
-    return pair_energy(pm, *state.clouds())
+    return pair_fields(pm, *state.clouds(), energy=True)[1]
 
 
 def force_field(qs: QuantileState, pm: PotentialMatrix, energy=False):

@@ -34,6 +34,8 @@ class QuantileState:
         if self.u.ndim != 2 or self.u.shape[0] != self.params.n:
             raise ValueError(
                 f"u must have shape (n, M) with n={self.params.n}, got {self.u.shape}")
+        if self.u.shape[1] < 1:
+            raise ValueError("the quantile grid needs at least one cell per species (M >= 1)")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("quantile values must be finite")
         if self.params.d != 1:

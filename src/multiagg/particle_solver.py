@@ -7,9 +7,9 @@ Each particle moves with velocity
 where the kernel gradient is the radial profile W'(|z|) z / |z| (zero at the
 origin, the only continuous extension for an even C1 kernel), in d=1 W' of
 the signed displacement.  Forces and energies come from the engine
-``potentials.pair_fields`` / ``pair_energy`` (each pair once, row tiles of
-bounded size).  On 1-d equal-mass atomic data that is the quantile solver's
-call, so both agree bit-exactly.  ``run_particles`` is the quantile solver's
+``potentials.pair_fields`` (each pair once, row tiles of bounded size).  On
+1-d equal-mass atomic data that is the quantile solver's call, so both agree
+bit-exactly.  ``run_particles`` is the quantile solver's
 time loop, whose projection leaves a particle state unchanged.  As there, a
 recorded state's field and energy come from one engine pass and the field is
 the next step's first stage, so an RK4 run of S steps makes 4S + 1 passes.

@@ -11,11 +11,11 @@ declared semiconvexity moduli (``kappa``), optional quadratic-growth
 constants, and an optional tail-convexity declaration used by the confinement
 analysis.
 
-``pair_fields`` / ``pair_energy`` are the one pairwise-interaction engine of
-both solvers and the diagnostics: each species pair once, zero entries
-skipped.  A diagonal pair (i, i) takes the kernel's ``self_fields`` /
-``self_energy``, an off-diagonal pair ``cloud_fields`` / ``cloud_energy``.
-Three ways to sum a pair:
+``pair_fields`` is the one pairwise-interaction engine of both solvers and
+the diagnostics: each species pair once, zero entries skipped.  A diagonal
+pair (i, i) takes the kernel's ``self_fields``, an off-diagonal pair
+``cloud_fields``; with ``energy=True`` each also returns its share of E from
+the same pass.  Three ways to sum a pair:
 
 * ``Quadratic``, in any d: closed form from each cloud's mass, mean and
   variance.
@@ -26,16 +26,16 @@ Three ways to sum a pair:
   points.  Even polynomials in z (``DoubleWell``, q = 2 and 4) take
   whole-cloud moments; the others sort the source once and take prefix
   moments over the windows that each target's knots cut out, found by
-  ``searchsorted``.
+  ``searchsorted``.  W' and W are read off one moment table.
 * Every other kind or d: directly in bounded row tiles, each one matrix of
   W'(x - y) in d = 1 or of W'(r)/r in d > 1 (``_tile``) times the sources
   of both fields.  The self path evaluates each unordered pair of points
   once: row tiles sweep the upper triangle, and a block's columns past its
   rows feed the later points.
 
-``pair_fields(..., energy=True)`` also sums E in the same tiles, each one
-kernel evaluation of W' and W (``_line`` from z in d = 1, ``_radial`` from r^2
-in d > 1).  An energy-only sum is that pass, so both agree bit for bit.
+A direct tile with ``energy`` is one kernel evaluation of W' and W (``_line``
+from z in d = 1, ``_radial`` from r^2 in d > 1).  The energy alone is the same
+pass, so a recorded energy and ``diagnostics.energy`` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class ScalarPotential:
         ``x`` (N, d) with weights ``wx`` (N,), ``y`` (L, d) with ``wy`` (L,).
         Returns (sum_l wy_l grad W(x_k - y_l), sum_k wx_k grad W(y_l - x_k));
         in d = 1 the second negates the same blocks, bit-exactly as W' is odd.
-        With ``energy``, ``cloud_energy`` from the same tiles follows: (fx, fy, E).
+        With ``energy``, E = sum_kl wx_k wy_l W(x_k - y_l) from the same tiles
+        follows: (fx, fy, E).
         """
         X, _, rev = _sources(x, wx, y[0])
         Y, fwd, _ = _sources(y, wy, y[0])
@@ -131,16 +132,13 @@ class ScalarPotential:
         f = _field(X, sx), _field(Y, sy.T)
         return f + (float(total),) if energy else f
 
-    def cloud_energy(self, x, wx, y, wy) -> float:
-        """sum_kl wx_k wy_l W(x_k - y_l), from the tiles of cloud_fields."""
-        return self.cloud_fields(x, wx, y, wy, energy=True)[2]
-
     def self_fields(self, x, w, energy=False):
         """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), each unordered pair once;
-        with ``energy``, ``self_energy`` from the same tiles follows: (f, E).
+        with ``energy``, E = sum_kl w_k w_l W(x_k - x_l) from the same tiles follows: (f, E).
 
         Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
-        feeds rows k0:k1, and its columns past k1 feed points k1:.
+        feeds rows k0:k1, and its columns past k1 feed points k1:.  E sums the
+        diagonal tiles plus twice the rest.
         """
         X, fwd, rev = _sources(x, w, x[0])
         xT = np.ascontiguousarray(X.T)
@@ -154,11 +152,6 @@ class ScalarPotential:
                 row = w[k0:k1] @ V
                 total += row[:k1 - k0] @ w[k0:k1] + 2.0 * (row[k1 - k0:] @ w[k1:])
         return (_field(X, s), float(total)) if energy else _field(X, s)
-
-    def self_energy(self, x, w) -> float:
-        """sum_kl w_k w_l W(x_k - x_l) over the upper triangle, from the tiles of self_fields:
-        diagonal tiles plus twice the rest."""
-        return self.self_fields(x, w, energy=True)[1]
 
 
 def _triangle_tiles(N: int):
@@ -256,32 +249,23 @@ class Quadratic(ScalarPotential):
         """Exact pair fields between weighted point clouds, by moments.
 
         As ``ScalarPotential.cloud_fields``; for this kernel the fields are
-        a W_y (x - mean_y) and a W_x (y - mean_x), O(N + L) instead of O(N L).
+        a W_y (x - mean_y) and a W_x (y - mean_x), O(N + L) instead of O(N L),
+        and E = (a/2) W_x W_y (|mean_x - mean_y|^2 + var_x + var_y).
         """
         Wx, cx = _weighted_mean(x, wx)
         Wy, cy = _weighted_mean(y, wy)
         f = self.a * Wy * (x - cy), self.a * Wx * (y - cx)
-        return f + (self.cloud_energy(x, wx, y, wy),) if energy else f
-
-    def cloud_energy(self, x, wx, y, wy) -> float:
-        """sum_kl wx_k wy_l W(|x_k - y_l|) by weighted central moments:
-        (a/2) W_x W_y (|mean_x - mean_y|^2 + var_x + var_y)."""
-        Wx, cx = _weighted_mean(x, wx)
-        Wy, cy = _weighted_mean(y, wy)
+        if not energy:
+            return f
         dc = cx - cy
         spread = float(dc @ dc) + _weighted_var(x, wx, Wx, cx) + _weighted_var(y, wy, Wy, cy)
-        return float(0.5 * self.a * Wx * Wy * spread)
+        return f + (float(0.5 * self.a * Wx * Wy * spread),)
 
     def self_fields(self, x, w, energy=False):
-        """Exact self field a W (x - mean), as ``cloud_fields(x, w, x, w)[0]``."""
+        """Exact self field a W (x - mean) and energy a W^2 var, as ``cloud_fields(x, w, x, w)``."""
         W, c = _weighted_mean(x, w)
         f = self.a * W * (x - c)
-        return (f, self.self_energy(x, w)) if energy else f
-
-    def self_energy(self, x, w) -> float:
-        """Exact self energy a W^2 var, as ``cloud_energy(x, w, x, w)``."""
-        W, c = _weighted_mean(x, w)
-        return float(self.a * W * W * _weighted_var(x, w, W, c))
+        return (f, float(self.a * W * W * _weighted_var(x, w, W, c))) if energy else f
 
 
 def _weighted_mean(x: np.ndarray, w: np.ndarray):
@@ -374,15 +358,17 @@ class _Profile:
                 H[k, s] *= rho * sigma ** k * (-sigma) ** s
         return H
 
-    def sums(self, H, x, y, w) -> np.ndarray:
-        """sum_l w_l P(x_k - y_l) for each x_k, P = W (H = self.value) or W' (self.deriv).
+    def sums(self, x, y, w, value=False):
+        """(sum_l w_l W'(x_k - y_l), sum_l w_l W(x_k - y_l) if ``value`` else None) for each x_k.
 
         ``x`` (N, 1) are the targets, ``y`` (L, 1) the sources with weights ``w``;
-        returns (N,).  Coincident points give an exactly zero field, as c is a
-        point of y.  The (windows, targets) tables are built in tiles of at
-        most ``_TILE`` entries.
+        each sum is (N,).  Both are read off one moment table: W' (``self.deriv``)
+        takes its leading rows, W (``self.value``) all of them.  Coincident
+        points give an exactly zero field, as c is a point of y.  The (windows,
+        targets) tables are built in tiles of at most ``_TILE`` entries.
         """
-        D = H.shape[0]
+        Hs = (self.deriv, self.value) if value else (self.deriv,)
+        D = Hs[-1].shape[0]
         y0, w0 = y[:, 0], w
         if not self.even and np.any(y0[1:] < y0[:-1]):  # quantile clouds arrive sorted
             order = y0.argsort()
@@ -395,7 +381,9 @@ class _Profile:
         for r in range(1, D):
             np.multiply(powers[r - 1], Y, out=powers[r])
         if self.even:
-            return _horner_rows(H[:, :, 0] @ powers.sum(axis=1), X)
+            moments = powers.sum(axis=1)
+            out = [_horner_rows(H[:, :, 0] @ moments[:H.shape[0]], X) for H in Hs]
+            return out[0], (out[1] if value else None)
         S = _prefix_sums(powers)
         # A piece that starts beyond the largest target-source distance holds
         # no pair.  Dropping such pieces leaves the last one kept unbounded,
@@ -403,9 +391,9 @@ class _Profile:
         span = max(X.max(), Y[-1]) - min(X.min(), Y[0])
         K = int(self.starts.searchsorted(span, side="right"))
         K0 = len(self.starts) - K
-        H = H[:, :, K0:K0 + 2 * K].reshape(D, -1)
+        Hs = [H[:, :, K0:K0 + 2 * K].reshape(H.shape[0], -1) for H in Hs]
         left, right = self._left[K0:], self._right[:K - 1]
-        out = np.empty(len(X))
+        out = [np.empty(len(X)) for _ in Hs]
         cols = max(1, _TILE // (2 * K + 1))
         for k0 in range(0, len(X), cols):
             Xt = X[k0:k0 + cols]
@@ -417,8 +405,10 @@ class _Profile:
             edges[K + 1:-1] = Y.searchsorted(Xt + right, side="left")
             edges[-1] = len(Y)
             at = S.take(edges, axis=1)
-            out[k0:k0 + cols] = _horner_rows(H @ (at[:, 1:] - at[:, :-1]).reshape(-1, len(Xt)), Xt)
-        return out
+            windows = at[:, 1:] - at[:, :-1]
+            for H, o in zip(Hs, out):
+                o[k0:k0 + cols] = _horner_rows(H @ windows[:H.shape[0]].reshape(H.shape[1], -1), Xt)
+        return out[0], (out[1] if value else None)
 
 
 def _horner_rows(E, X):
@@ -463,25 +453,15 @@ class _PiecewisePolynomial(ScalarPotential):
     def cloud_fields(self, x, wx, y, wy, energy=False):
         if not self._by_moments(x):
             return super().cloud_fields(x, wx, y, wy, energy)
-        p = self._profile
-        f = p.sums(p.deriv, x, y, wy)[:, None], p.sums(p.deriv, y, x, wx)[:, None]
-        return f + (self.cloud_energy(x, wx, y, wy),) if energy else f
-
-    def cloud_energy(self, x, wx, y, wy) -> float:
-        if not self._by_moments(x):
-            return super().cloud_energy(x, wx, y, wy)
-        return float(wx @ self._profile.sums(self._profile.value, x, y, wy))
+        fx, vx = self._profile.sums(x, y, wy, energy)
+        f = fx[:, None], self._profile.sums(y, x, wx)[0][:, None]
+        return f + (float(wx @ vx),) if energy else f
 
     def self_fields(self, x, w, energy=False):
         if not self._by_moments(x):
             return super().self_fields(x, w, energy)
-        f = self._profile.sums(self._profile.deriv, x, x, w)[:, None]
-        return (f, self.self_energy(x, w)) if energy else f
-
-    def self_energy(self, x, w) -> float:
-        if not self._by_moments(x):
-            return super().self_energy(x, w)
-        return float(w @ self._profile.sums(self._profile.value, x, x, w))
+        f, v = self._profile.sums(x, x, w, energy)
+        return (f[:, None], float(w @ v)) if energy else f[:, None]
 
 
 @dataclass(frozen=True)
@@ -767,48 +747,33 @@ def matrix_from_entries(entries: Sequence[Sequence[ScalarPotential]], kappa,
     return PotentialMatrix(tuple(tuple(row) for row in grid), kappa, growth, confining)
 
 
-def _live_pairs(pm: PotentialMatrix):
-    """(i, j, kernel) over the upper triangle i <= j, skipping zero kernels."""
-    for i in range(pm.n):
-        for j in range(i, pm.n):
-            pot = pm.entries[i][j]
-            if not pot.is_identically_zero():
-                yield i, j, pot
-
-
 def pair_fields(pm: PotentialMatrix, xs, ws, energy=False):
     """Interaction fields F_i[k] = sum_j sum_l ws[j][l] grad W_ij(xs[i][k] - xs[j][l]).
 
     ``xs[i]`` (N_i, d) holds the points of species i and ``ws[i]`` (N_i,)
     their weights; returns one (N_i, d) array per species.  Each pair i < j
     is evaluated once and feeds both species; each pair i == j takes the
-    kernel's self path.  With ``energy``, returns (fields, E): E is
-    ``pair_energy``, bit for bit, from the same kernel evaluations.
+    kernel's self path; zero kernels are skipped.  With ``energy``, returns
+    (fields, E), E = (1/2) sum_ij sum_kl ws[i][k] ws[j][l] W_ij(xs[i][k] - xs[j][l])
+    from the same kernel evaluations.
     """
     out = [np.zeros_like(x) for x in xs]
     total = 0.0
-    for i, j, pot in _live_pairs(pm):
-        if j == i:
-            sums = pot.self_fields(xs[i], ws[i], energy=energy)
-            out[i] += sums[0] if energy else sums
-            total += sums[1] if energy else 0.0
-        else:
-            sums = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j], energy=energy)
-            out[i] += sums[0]
-            out[j] += sums[1]
-            total += 2.0 * sums[2] if energy else 0.0
+    for i in range(pm.n):
+        for j in range(i, pm.n):
+            pot = pm.entries[i][j]
+            if pot.is_identically_zero():
+                continue
+            if j == i:
+                sums = pot.self_fields(xs[i], ws[i], energy=energy)
+                out[i] += sums[0] if energy else sums
+                total += sums[1] if energy else 0.0
+            else:
+                sums = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j], energy=energy)
+                out[i] += sums[0]
+                out[j] += sums[1]
+                total += 2.0 * sums[2] if energy else 0.0
     return (out, float(0.5 * total)) if energy else out
-
-
-def pair_energy(pm: PotentialMatrix, xs, ws) -> float:
-    """(1/2) sum_ij sum_kl ws[i][k] ws[j][l] W_ij(xs[i][k] - xs[j][l]); see pair_fields."""
-    total = 0.0
-    for i, j, pot in _live_pairs(pm):
-        if j == i:
-            total += pot.self_energy(xs[i], ws[i])
-        else:
-            total += 2.0 * pot.cloud_energy(xs[i], ws[i], xs[j], ws[j])
-    return float(0.5 * total)
 
 
 def _sample_grid(interval, samples: int) -> tuple[np.ndarray, float]:

@@ -217,8 +217,8 @@ def _ground_state(cfg, traj, modulus) -> CheckResult:
 
 def _gradient_consistency(cfg) -> CheckResult:
     """The engine's field against central differences of the energy in the moved
-    particle's interactions: ``cloud_energy`` of {x_k +- h e_a} against each species,
-    without particle k."""
+    particle's interactions: the ``cloud_fields`` energy of {x_k +- h e_a} against each
+    species, without particle k."""
     ps = cfg.initial_particles
     if ps is None:
         return CheckResult("gradient_consistency", "skipped", "no particle representation")
@@ -237,8 +237,9 @@ def _gradient_consistency(cfg) -> CheckResult:
                 plus, minus = x[k:k + 1].copy(), x[k:k + 1].copy()
                 plus[0, axis] += h
                 minus[0, axis] -= h
-                rise = sum(pot.cloud_energy(plus, w[k:k + 1], y, wy)
-                           - pot.cloud_energy(minus, w[k:k + 1], y, wy) for pot, y, wy in pairs)
+                rise = sum(pot.cloud_fields(plus, w[k:k + 1], y, wy, energy=True)[2]
+                           - pot.cloud_fields(minus, w[k:k + 1], y, wy, energy=True)[2]
+                           for pot, y, wy in pairs)
                 expected = -ps.params.m[i] / w[k] * (rise / (2.0 * h))
                 worst = max(worst, abs(vel[i][k, axis] - expected) / scale)
     status = "pass" if worst <= 1e-5 else "fail"

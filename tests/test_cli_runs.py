@@ -139,6 +139,7 @@ MALFORMED = {
     "ragged_particle_x": ("initial", particle_initial(x0=[[0.0], [1.0, 2.0]])),
     "ragged_quantile_grid": ("initial", {"type": "quantile_grid",
                                          "values": [[0.0, 1.0], [0.0]]}),
+    "quantile_grid_empty": ("initial", {"type": "quantile_grid", "values": [[], []]}),
     "string_coordinate": ("initial", particle_initial(x0=[0.0, "a"])),
     "gauss_pair_string_sigma": ("initial", {"type": "preset", "name": "gauss_pair",
                                             "args": {"sigma": "x"}}),
@@ -176,6 +177,20 @@ def test_malformed_config_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "config error: initial:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_empty_quantile_grid_is_named_without_numpy_warnings(tmp_path, command):
+    config = write(tmp_path / "bad.json", malformed_config("quantile_grid_empty"))
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "multiagg.cli", command, "--config", config,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "config error: initial:" in proc.stderr and "quantile grid" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("every", [2.5, True])

@@ -75,6 +75,11 @@ def test_quantile_requires_d1():
         quantile_from_particles(ps, 4)
 
 
+def test_empty_quantile_grid_is_rejected():
+    with pytest.raises(ValueError, match="quantile grid"):
+        mg.QuantileState(np.zeros((2, 0)), sp([1.0, 1.0], [1.0, 1.0]))
+
+
 def test_particles_from_quantile_examples():
     qs = mg.QuantileState([[3.0, 3.0, 3.0, 3.0]], sp([1.0], [1.0], E=3.0))
     ps = particles_from_quantile(qs)

@@ -57,8 +57,10 @@ def assert_all_sums_match(kind, x, wx, y, wy):
     for fast, direct in zip(kind.cloud_fields(x, wx, y, wy), plain.cloud_fields(x, wx, y, wy)):
         assert_oracle_close(fast, direct)
     assert_oracle_close(kind.self_fields(x, wx), plain.self_fields(x, wx))
-    assert_oracle_close(kind.cloud_energy(x, wx, y, wy), plain.cloud_energy(x, wx, y, wy))
-    assert_oracle_close(kind.self_energy(x, wx), plain.self_energy(x, wx))
+    assert_oracle_close(kind.cloud_fields(x, wx, y, wy, energy=True)[2],
+                        plain.cloud_fields(x, wx, y, wy, energy=True)[2])
+    assert_oracle_close(kind.self_fields(x, wx, energy=True)[1],
+                        plain.self_fields(x, wx, energy=True)[1])
 
 
 def clouds(N, offset):
@@ -91,8 +93,9 @@ def test_large_source_clouds_match_direct_at_sampled_targets(kind, offset):
     assert_oracle_close(fx[sample], plain.cloud_fields(xs, ws, y, wy)[0])
     ys, wys = y[:150], wy[:150]
     assert_oracle_close(fy[:150], plain.cloud_fields(ys, wys, x, wx)[0])
-    assert_oracle_close(kind.cloud_energy(xs, ws, x, wx), plain.cloud_energy(xs, ws, x, wx))
-    assert_oracle_close(kind.cloud_energy(ys, wys, x, wx), plain.cloud_energy(ys, wys, x, wx))
+    for xt, wt in [(xs, ws), (ys, wys)]:
+        assert_oracle_close(kind.cloud_fields(xt, wt, x, wx, energy=True)[2],
+                            plain.cloud_fields(xt, wt, x, wx, energy=True)[2])
 
 
 def test_prefix_sums_keep_the_bound_on_a_fine_grid():
@@ -110,11 +113,11 @@ def test_tables_are_tiled_like_one_block(monkeypatch, kind):
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.5, (300, 1))
     w = rng.uniform(0.1, 1.0, 300)
-    whole = kind.self_fields(x, w), kind.self_energy(x, w)
+    whole = kind.self_fields(x, w, energy=True)
     # A few targets per tile, so the tables of one sum span many tiles.
     monkeypatch.setattr(potentials, "_TILE", 64)
     assert_oracle_close(kind.self_fields(x, w), whole[0])
-    assert_oracle_close(kind.self_energy(x, w), whole[1])
+    assert_oracle_close(kind.self_fields(x, w, energy=True)[1], whole[1])
 
 
 @pytest.mark.parametrize("kind", PIECEWISE_KINDS, ids=kind_id)
@@ -125,7 +128,7 @@ def test_coincident_points_feel_no_force(kind):
     assert not kind.self_fields(x, w).any()
     fx, fy = kind.cloud_fields(x, w, x[:3], w[:3])
     assert not fx.any() and not fy.any()
-    assert kind.self_energy(x, w) == pytest.approx(kind.value(0.0), rel=1e-15, abs=0.0)
+    assert kind.self_fields(x, w, energy=True)[1] == pytest.approx(kind.value(0.0), rel=1e-15, abs=0.0)
 
 
 class _NoPointwise:
@@ -149,8 +152,9 @@ def test_sorted_and_shuffled_sources_agree(kind):
     x = np.concatenate([rng.normal(0.0, 1.2, (25, 1)), y])
     shuffle = rng.permutation(len(y))
     p = kind._profile
-    for H in (p.value, p.deriv):
-        as_sorted, shuffled = p.sums(H, x, y, w), p.sums(H, x, y[shuffle], w[shuffle])
+    # Both outputs of one call: the field sums and the energy sums.
+    for as_sorted, shuffled in zip(p.sums(x, y, w, value=True),
+                                   p.sums(x, y[shuffle], w[shuffle], value=True)):
         assert np.abs(as_sorted - shuffled).max() <= 1e-13 * (1.0 + np.abs(shuffled).max())
 
 
@@ -165,7 +169,29 @@ def test_one_dimensional_sums_never_evaluate_pointwise(kind):
     xs = [rng.normal(0.0, 1.0, (20, 1)), rng.normal(0.5, 1.0, (9, 1))]
     ws = [np.full(20, 0.05), np.full(9, 1.0 / 9.0)]
     potentials.pair_fields(pm, xs, ws)
-    potentials.pair_energy(pm, xs, ws)
+    potentials.pair_fields(pm, xs, ws, energy=True)
+
+
+@pytest.mark.parametrize("kind, tables",
+                         [(SMOOTH_TAB, 1), (mg.Power(3.0, 0.5), 1), (mg.DoubleWell(0.3, 0.5), 0)],
+                         ids=["Tabulated", "Power3", "DoubleWell"])
+def test_field_and_energy_share_one_moment_table_per_source(monkeypatch, kind, tables):
+    # A self sum builds one prefix table, a cloud sum one per source cloud;
+    # an even profile takes whole-cloud moments and builds none.
+    built = []
+    original = potentials._prefix_sums
+
+    def counted(v):
+        built.append(v.shape)
+        return original(v)
+
+    monkeypatch.setattr(potentials, "_prefix_sums", counted)
+    x, wx, y, wy = clouds(37, 0.0)
+    kind.self_fields(x, wx, energy=True)
+    assert len(built) == tables
+    built.clear()
+    kind.cloud_fields(x, wx, y, wy, energy=True)
+    assert len(built) == 2 * tables
 
 
 @pytest.mark.parametrize("kind", [mg.Power(2.5, 0.5), mg.Power(6.0, 0.1), mg.Power(3.5, 1.0),

@@ -1,9 +1,9 @@
 """The self path of the pairwise engine, the direct tiles in d > 1, and kernel symmetry.
 
-``self_fields`` / ``self_energy`` evaluate each unordered pair of a cloud
-once, sweeping the upper triangle in row tiles.  One oracle is the
-two-sided direct sum ``cloud_fields`` / ``cloud_energy`` of the cloud
-against a copy of itself, which evaluates every ordered pair.  In d > 1 both
+``self_fields`` evaluates each unordered pair of a cloud once, field and
+energy, sweeping the upper triangle in row tiles.  One oracle is the
+two-sided direct sum ``cloud_fields`` of the cloud against a copy of itself,
+which evaluates every ordered pair.  In d > 1 both
 sum tiles of W'(r)/r by matrix products, so a naive full-broadcast sum of
 W'(r) z / r and W(r) over every ordered pair checks them independently, and
 checks the energy that the field pass sums on request from the same tiles.
@@ -48,9 +48,9 @@ def test_self_path_matches_two_sided_direct_sum(monkeypatch, kind, d, N, tile):
         monkeypatch.setattr(potentials, "_TILE", tile)
     x, w = cloud(N, d, seed=N + d)
     direct_f, _ = kind.cloud_fields(x, w, x.copy(), w)
-    direct_e = kind.cloud_energy(x, w, x.copy(), w)
+    direct_e = kind.cloud_fields(x, w, x.copy(), w, energy=True)[2]
     f = kind.self_fields(x, w)
-    e = kind.self_energy(x, w)
+    e = kind.self_fields(x, w, energy=True)[1]
     assert f.shape == direct_f.shape
     assert np.abs(f - direct_f).max() <= 1e-12 * (1.0 + np.abs(direct_f).max())
     assert abs(e - direct_e) <= 1e-12 * (1.0 + abs(direct_e))
@@ -95,9 +95,7 @@ def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, 
     assert close(gx, naive_fields(kind, x, y, wy))
     assert close(gy, naive_fields(kind, y, x, wx))
     assert close(self_f, naive_fields(kind, x, x, wx))
-    for e, naive in [(kind.cloud_energy(x, wx, y, wy), naive_energy(kind, x, wx, y, wy)),
-                     (kind.self_energy(x, wx), naive_energy(kind, x, wx, x, wx)),
-                     (cloud_e, naive_energy(kind, x, wx, y, wy)),
+    for e, naive in [(cloud_e, naive_energy(kind, x, wx, y, wy)),
                      (self_e, naive_energy(kind, x, wx, x, wx))]:
         assert abs(e - naive) <= 1e-12 * (1.0 + abs(naive))
 
@@ -105,7 +103,7 @@ def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fused_pass_equals_the_separate_sums_bit_for_bit(d):
     # Every kind, on the self and the cross paths: the fields equal pair_fields
-    # and the energy pair_energy, so a recorded energy is mg.energy of its state.
+    # without the energy, and the energy is mg.energy of the state.
     kinds = ALL_KINDS + [mg.Power(1.5, 0.5)]
     n = len(kinds)
     entries = [[kinds[(i + j) % n] for j in range(n)] for i in range(n)]
@@ -114,7 +112,8 @@ def test_fused_pass_equals_the_separate_sums_bit_for_bit(d):
     fields, energy = potentials.pair_fields(pm, xs, ws, energy=True)
     for f, g in zip(fields, potentials.pair_fields(pm, xs, ws)):
         assert np.array_equal(f, g)
-    assert energy == potentials.pair_energy(pm, xs, ws)
+    params = mg.SystemParams(m=np.ones(n), p=[w.sum() for w in ws], E=np.zeros(d), d=d)
+    assert energy == mg.energy(mg.ParticleState(list(xs), list(ws), params), pm)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + [mg.Power(1.5, 0.5)], ids=kind_id)
