@@ -368,7 +368,7 @@ class _Profile:
         targets) tables are built in tiles of at most ``_TILE`` entries.
         """
         Hs = (self.deriv, self.value) if value else (self.deriv,)
-        D = Hs[-1].shape[0]
+        D = len(Hs[-1])
         y0, w0 = y[:, 0], w
         if not self.even and np.any(y0[1:] < y0[:-1]):  # quantile clouds arrive sorted
             order = y0.argsort()
@@ -382,7 +382,7 @@ class _Profile:
             np.multiply(powers[r - 1], Y, out=powers[r])
         if self.even:
             moments = powers.sum(axis=1)
-            out = [_horner_rows(H[:, :, 0] @ moments[:H.shape[0]], X) for H in Hs]
+            out = [_horner_rows(H[:, :, 0] @ moments[:len(H)], X) for H in Hs]
             return out[0], (out[1] if value else None)
         S = _prefix_sums(powers)
         # A piece that starts beyond the largest target-source distance holds
@@ -391,7 +391,7 @@ class _Profile:
         span = max(X.max(), Y[-1]) - min(X.min(), Y[0])
         K = int(self.starts.searchsorted(span, side="right"))
         K0 = len(self.starts) - K
-        Hs = [H[:, :, K0:K0 + 2 * K].reshape(H.shape[0], -1) for H in Hs]
+        Hs = [H[:, :, K0:K0 + 2 * K].reshape(len(H), -1) for H in Hs]
         left, right = self._left[K0:], self._right[:K - 1]
         out = [np.empty(len(X)) for _ in Hs]
         cols = max(1, _TILE // (2 * K + 1))
@@ -407,7 +407,7 @@ class _Profile:
             at = S.take(edges, axis=1)
             windows = at[:, 1:] - at[:, :-1]
             for H, o in zip(Hs, out):
-                o[k0:k0 + cols] = _horner_rows(H @ windows[:H.shape[0]].reshape(H.shape[1], -1), Xt)
+                o[k0:k0 + cols] = _horner_rows(H @ windows[:len(H)].reshape(-1, len(Xt)), Xt)
         return out[0], (out[1] if value else None)
 
 
