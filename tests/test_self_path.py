@@ -3,10 +3,10 @@
 ``self_fields`` evaluates each unordered pair of a cloud once, field and
 energy, sweeping the upper triangle in row tiles.  One oracle is the
 two-sided direct sum ``cloud_fields`` of the cloud against a copy of itself,
-which evaluates every ordered pair.  In d > 1 both
-sum tiles of W'(r)/r by matrix products, so a naive full-broadcast sum of
-W'(r) z / r and W(r) over every ordered pair checks them independently, and
-checks the energy that the field pass sums on request from the same tiles.
+which evaluates every ordered pair.  In d > 1 both sum tiles of W'(r)/r by
+matrix products, so a naive full-broadcast sum of W'(r) z / r and W(r) over
+every ordered pair checks them independently, and checks the energy that the
+field pass sums on request from the same tiles.
 """
 
 import warnings
