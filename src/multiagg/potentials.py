@@ -29,13 +29,21 @@ the same pass.  Three ways to sum a pair:
   ``searchsorted``.  W' and W are read off one moment table.
 * Every other kind or d: directly in bounded row tiles, each one matrix of
   W'(x - y) in d = 1 or of W'(r)/r in d > 1 (``_tile``) times the sources
-  of both fields.  The self path evaluates each unordered pair of points
-  once: row tiles sweep the upper triangle, and a block's columns past its
-  rows feed the later points.
+  of both fields.  The self path sweeps the upper triangle: row tile
+  [k0, k1) is evaluated against the points k0: only, so the pairs within
+  its own rows are evaluated in both orders and every other pair once, and
+  its columns past its rows feed the later points.  That is
+  sum (k1 - k0)(N - k0) evaluations: 44,153 for the 32,896 pairs of
+  N = 256, diagonal included.
 
-A direct tile with ``energy`` is one kernel evaluation of W' and W (``_line``
-from z in d = 1, ``_radial`` from r^2 in d > 1).  The energy alone is the same
-pass, so a recorded energy and ``diagnostics.energy`` agree bit for bit.
+A tile takes each coordinate difference x_a - y_a as a row [x_a, 1] times a
+column [1; -y_a], one BLAS product per axis from factors built once per call
+(``_tile_rows``, ``_tile_cols``).  Both products are exact and their sum is
+rounded once, so the differences equal numpy's broadcast bit for bit, but
+for the sign of a zero or a nan difference.  A direct tile with ``energy`` is
+one kernel evaluation of W' and W (``_line`` from z in d = 1, ``_radial`` from
+r^2 in d > 1).  The energy alone is the same pass, so a recorded energy and
+``diagnostics.energy`` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -119,12 +127,12 @@ class ScalarPotential:
         """
         X, _, rev = _sources(x, wx, y[0])
         Y, fwd, _ = _sources(y, wy, y[0])
-        yT = np.ascontiguousarray(Y.T)
+        A, B = _tile_rows(X), _tile_cols(Y)
         sx, sy = np.empty((len(x), fwd.shape[1])), np.zeros((rev.shape[1], len(y)))
         total = 0.0
         rows = max(1, _TILE // len(y))
         for k0 in range(0, len(x), rows):
-            K, V = _tile(self, X[k0:k0 + rows], yT, value=energy)
+            K, V = _tile(self, A[:, k0:k0 + rows], B, value=energy)
             sx[k0:k0 + rows] = K @ fwd
             sy += rev[k0:k0 + rows].T @ K
             if energy:
@@ -133,19 +141,20 @@ class ScalarPotential:
         return f + (float(total),) if energy else f
 
     def self_fields(self, x, w, energy=False):
-        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), each unordered pair once;
+        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), over the upper triangle;
         with ``energy``, E = sum_kl w_k w_l W(x_k - x_l) from the same tiles follows: (f, E).
 
         Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
-        feeds rows k0:k1, and its columns past k1 feed points k1:.  E sums the
-        diagonal tiles plus twice the rest.
+        feeds rows k0:k1, whose own pairs it holds in both orders, and its
+        columns past k1 feed points k1:.  E sums the diagonal tiles plus twice
+        the rest.
         """
         X, fwd, rev = _sources(x, w, x[0])
-        xT = np.ascontiguousarray(X.T)
+        A, B = _tile_rows(X), _tile_cols(X)
         s = np.zeros_like(fwd)
         total = 0.0
         for k0, k1 in _triangle_tiles(len(x)):
-            K, V = _tile(self, X[k0:k1], xT[:, k0:], value=energy)
+            K, V = _tile(self, A[:, k0:k1], B[:, :, k0:], value=energy)
             s[k0:k1] += K @ fwd[k0:]
             s[k1:] += (rev[k0:k1].T @ K)[:, k1 - k0:].T
             if energy:
@@ -185,35 +194,56 @@ def _field(X: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s if X.shape[1] == 1 else X * s[:, :1] - s[:, 1:]
 
 
-def _sq_dist(x: np.ndarray, yT: np.ndarray) -> np.ndarray:
-    """|x_k - y_l|^2 (T, L) for x (T, d) against yT (d, L), accumulated axis by axis."""
-    r2 = x[:, :1] - yT[0]
+def _tile_rows(X: np.ndarray) -> np.ndarray:
+    """The rows [X_a, 1] (d, N, 2) of the tiles of targets X (N, d), one matrix per axis a."""
+    A = np.ones((X.shape[1], len(X), 2))
+    A[:, :, 0] = X.T
+    return A
+
+
+def _tile_cols(Y: np.ndarray) -> np.ndarray:
+    """The columns [1; -Y_a] (d, 2, L) of the tiles of sources Y (L, d), one matrix per axis a.
+
+    A row of ``_tile_rows`` times a column is x_a - y_a (see the module
+    docstring).  Neither factor holds a zero, which would turn an infinite
+    coordinate into nan.
+    """
+    B = np.ones((Y.shape[1], 2, len(Y)))
+    np.negative(Y.T, out=B[:, 1])
+    return B
+
+
+def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|x_k - y_l|^2 (T, L) from tile rows A (d, T, 2) and columns B (d, 2, L), accumulated
+    axis by axis."""
+    r2 = A[0] @ B[0]
     r2 *= r2
-    for xa, ya in zip(x.T[1:], yT[1:]):
-        diff = xa[:, None] - ya
+    for a, b in zip(A[1:], B[1:]):
+        diff = a @ b
         diff *= diff
         r2 += diff
     return r2
 
 
-def _tile(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray, value=False):
-    """(K, V) of a row tile x (T, d) against yT (d, L) from one kernel evaluation, both
-    (T, L): the tile K (see _sources) and, if ``value``, V = W(x_k - y_l), else None."""
-    if len(yT) == 1:
-        return pot._line(x - yT, value)
-    return pot._radial(_sq_dist(x, yT), value)
+def _tile(pot: ScalarPotential, A: np.ndarray, B: np.ndarray, value=False):
+    """(K, V) of tile rows A (d, T, 2) against columns B (d, 2, L) from one kernel
+    evaluation, both (T, L): the tile K (see _sources) and, if ``value``,
+    V = W(x_k - y_l), else None."""
+    if len(B) == 1:
+        return pot._line(A[0] @ B[0], value)
+    return pot._radial(_sq_dist(A, B), value)
 
 
-def _grad_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
-    """grad W(x_k - y_l) for a row tile x (T, d) against yT (d, L), laid out (T, d, L):
-    the pointwise test of a non-finite field."""
-    K = _tile(pot, x, yT)[0][:, None, :]
-    return K if len(yT) == 1 else K * (x[:, :, None] - yT)
+def _grad_block(pot: ScalarPotential, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """grad W(x_k - y_l) for tile rows A (d, T, 2) against columns B (d, 2, L), laid out
+    (T, d, L): the pointwise test of a non-finite field."""
+    K = _tile(pot, A, B)[0][:, None, :]
+    return K if len(B) == 1 else K * (A @ B).transpose(1, 0, 2)
 
 
-def _value_block(pot: ScalarPotential, x: np.ndarray, yT: np.ndarray) -> np.ndarray:
-    """W(x_k - y_l) for a row tile x (T, d) against yT (d, L), as (T, L)."""
-    return _tile(pot, x, yT, True)[1]
+def _value_block(pot: ScalarPotential, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """W(x_k - y_l) for tile rows A (d, T, 2) against columns B (d, 2, L), as (T, L)."""
+    return _tile(pot, A, B, True)[1]
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from . import diagnostics
 from .convexity import modulus
 from .errors import NumericsError
 from .measures import ParticleState, QuantileState
-from .potentials import (_TILE, PotentialMatrix, _grad_block, _value_block,
-                         estimate_growth_bound, pair_fields)
+from .potentials import (_TILE, PotentialMatrix, _grad_block, _tile_cols, _tile_rows,
+                         _value_block, estimate_growth_bound, pair_fields)
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -117,10 +117,10 @@ def _nonfinite_witness(xs, pm: PotentialMatrix, block=_grad_block) -> dict:
     non-finite point (i, k); else {}."""
     for i, j in np.ndindex(pm.n, pm.n):
         rows = max(1, _TILE // len(xs[j]))
-        yT = np.ascontiguousarray(xs[j].T)
+        A, B = _tile_rows(xs[i]), _tile_cols(xs[j])
         for k0 in range(0, len(xs[i]), rows):
             with np.errstate(**_QUIET):
-                g = block(pm.entries[i][j], xs[i][k0:k0 + rows], yT)
+                g = block(pm.entries[i][j], A[:, k0:k0 + rows], B)
             bad = np.argwhere(~np.isfinite(g.reshape(len(g), -1, len(xs[j]))).all(axis=1))
             if bad.size:
                 k, l = map(int, bad[0])

@@ -1,12 +1,15 @@
-"""The self path of the pairwise engine, the direct tiles in d > 1, and kernel symmetry.
+"""The self path of the pairwise engine, the direct tiles, and kernel symmetry.
 
-``self_fields`` evaluates each unordered pair of a cloud once, field and
-energy, sweeping the upper triangle in row tiles.  One oracle is the
-two-sided direct sum ``cloud_fields`` of the cloud against a copy of itself,
-which evaluates every ordered pair.  In d > 1 both sum tiles of W'(r)/r by
-matrix products, so a naive full-broadcast sum of W'(r) z / r and W(r) over
-every ordered pair checks them independently, and checks the energy that the
-field pass sums on request from the same tiles.
+``self_fields`` sweeps the upper triangle of a cloud in row tiles, field and
+energy.  Row tile [k0, k1) is evaluated against x[k0:], so the pairs within
+its own rows are evaluated in both orders and every other pair once.  One
+oracle is the two-sided direct sum ``cloud_fields`` of the cloud against a
+copy of itself, which evaluates every ordered pair.  A naive full-broadcast
+sum of W'(r) z / r and W(r) over every ordered pair checks the sums in every
+d independently (in d = 1, W'(r) z / r is W'(z)), with the energy that the
+field pass sums on request from the same tiles.  A tile takes its
+differences x_k - y_l from matrix products, checked bit for bit against
+numpy's broadcast.
 """
 
 import warnings
@@ -74,7 +77,7 @@ def close(a, b):
 
 
 @pytest.mark.parametrize("kind", DIRECT_KINDS + [mg.Power(1.5, 0.5)], ids=kind_id)
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("tile", [None, 64], ids=["default-tile", "tile64"])
 def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, tile):
@@ -98,6 +101,52 @@ def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, 
     for e, naive in [(cloud_e, naive_energy(kind, x, wx, y, wy)),
                      (self_e, naive_energy(kind, x, wx, x, wx))]:
         assert abs(e - naive) <= 1e-12 * (1.0 + abs(naive))
+
+
+def same_bits(a, b):
+    """a equals b bit for bit where b is a number, and is nan where b is (a nan's sign
+    carries nothing and is not compared)."""
+    nan = np.isnan(b)
+    return (np.array_equal(np.isnan(a), nan)
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+# Overflowing, subnormal, near-equal and offset coordinates; no -0.0 (see below).
+EDGES = [np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 0.0, 1.0, 1.0 + 1e-12,
+         -1.0, -1.0 - 1e-12, 1e3, 1e3 + 1e-12, 1e3 - 2.5, 0.3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tile_differences_equal_the_broadcast_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    x = rng.choice(EDGES, (60, d))
+    y = np.concatenate([rng.choice(EDGES, (40, d)), rng.normal(0.0, 1.0, (30, d))])
+    A, B = potentials._tile_rows(x), potentials._tile_cols(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, k1, l0 in [(0, 60, 0), (7, 31, 13), (59, 60, 69)]:
+            r2 = None
+            for a in range(d):
+                diff = x[k0:k1, a, None] - y[l0:, a]
+                assert same_bits(A[a, k0:k1] @ B[a, :, l0:], diff)
+                diff *= diff
+                r2 = diff if r2 is None else r2 + diff
+            assert same_bits(potentials._sq_dist(A[:, k0:k1], B[:, :, l0:]), r2)
+
+
+@pytest.mark.parametrize("kind", DIRECT_KINDS[:2] + [mg.Power(1.5, 0.5)], ids=kind_id)
+def test_d1_fields_over_signed_zeros_equal_broadcast_sums_bit_for_bit(kind):
+    # The kinds summed by tiles in d = 1.  A tile's product gives +0.0 for
+    # -0.0 - 0.0 where the broadcast gives -0.0; the fields must not see it.
+    x = np.array([[-0.0], [0.0], [0.5], [-0.0], [-1.25], [0.0]])
+    w = np.array([0.2, 0.3, 0.1, 0.15, 0.05, 0.2])
+    y, wy = x[::-1] * 2.0, w[::-1]
+    f = np.zeros_like(x)
+    f += kind.deriv(x - x.T) @ w[:, None]
+    assert same_bits(kind.self_fields(x, w), f)
+    K = kind.deriv(x - y.T)
+    fx, fy = kind.cloud_fields(x, w, y, wy)
+    assert same_bits(fx, K @ wy[:, None])
+    assert same_bits(fy, (np.zeros((1, len(y))) + -w[None, :] @ K).T)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
