@@ -526,16 +526,33 @@ class Power(_PiecewisePolynomial):
 @dataclass(frozen=True)
 class _TwoExponentials(ScalarPotential):
     """W = -ca e^{-q/la} + cr e^{-q/lr} in a q of the radius: a tile evaluates both
-    exponentials once, for W and W' together."""
+    exponentials once, for W and W' together.
+
+    q is the radius to the power ``_order``.  The coefficients of the derivative
+    terms, ``_order`` ca/la and ``_order`` cr/lr, and the exponent scales -1/la
+    and -1/lr are taken once, and must be finite: an infinite one would make
+    W'(0) or W(0) nan.
+    """
 
     ca: float
     la: float
     cr: float
     lr: float
 
+    _order = 1.0
+
     def __post_init__(self):
+        name = type(self).__name__
         if self.la <= 0.0 or self.lr <= 0.0:
-            raise ValueError(f"{type(self).__name__} length scales la, lr must be positive")
+            raise ValueError(f"{name} length scales la, lr must be positive")
+        n = self._order
+        slopes = n * self.ca / self.la, n * self.cr / self.lr
+        rates = -1.0 / self.la, -1.0 / self.lr
+        for label, v in zip((f"{n:g} ca/la", f"{n:g} cr/lr", "1/la", "1/lr"), slopes + rates):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}: {label} is not finite for {self}")
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_rates", rates)
 
     def _value(self, z):
         with np.errstate(invalid="ignore"):  # the unused W' is nan at |z| = inf
@@ -544,10 +561,11 @@ class _TwoExponentials(ScalarPotential):
     def _deriv(self, z):
         return self._line(z, False)[0]
 
-    def _terms(self, q, a, b, value):
-        """(a e^{-q/la} - b e^{-q/lr}, W if ``value`` else None); each in-place step
-        rounds as the written-out expression does."""
-        ea, er = np.divide(q, -self.la), np.divide(q, -self.lr)
+    def _terms(self, q, value):
+        """(a e^{-q/la} - b e^{-q/lr} with (a, b) the derivative coefficients, W if ``value``
+        else None); each in-place step rounds as the written-out expression does."""
+        (a, b), (ra, rr) = self._slopes, self._rates
+        ea, er = np.multiply(q, ra), np.multiply(q, rr)
         np.exp(ea, out=ea)
         np.exp(er, out=er)
         v = None
@@ -586,7 +604,7 @@ class Morse(_TwoExponentials):
         """(dW/ds, W if ``value``) at s = sqrt(z2 + eps^2), computed in z2, and s."""
         z2 += self.eps * self.eps
         s = np.sqrt(z2, out=z2)
-        return self._terms(s, self.ca / self.la, self.cr / self.lr, value), s
+        return self._terms(s, value), s
 
     def _line(self, z, value):
         (dW, v), s = self._smoothed(z * z, value)
@@ -603,13 +621,15 @@ class Morse(_TwoExponentials):
 class GaussianAR(_TwoExponentials):
     """Gaussian attractive-repulsive kernel -ca e^{-z^2/la} + cr e^{-z^2/lr}."""
 
+    _order = 2.0
+
     def _line(self, z, value):
         g, v = self._radial(z * z, value)
         g *= z
         return g, v
 
     def _radial(self, r2, value):
-        return self._terms(r2, 2.0 * self.ca / self.la, 2.0 * self.cr / self.lr, value)
+        return self._terms(r2, value)
 
 
 @dataclass(frozen=True)

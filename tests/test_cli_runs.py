@@ -150,6 +150,10 @@ MALFORMED = {
     "kernel_field_nan": ("potential", dict(pair_config()["potential"], entries=[
         [{"kind": "quadratic", "a": float("nan")}, {"kind": "quadratic", "a": 1.0}],
         [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
+    "gaussian_ar_overflowing_ca_over_la": ("potential", dict(pair_config()["potential"], entries=[
+        [{"kind": "gaussian_ar", "ca": 1.0, "la": 1e-310, "cr": 0.6, "lr": 0.2},
+         {"kind": "quadratic", "a": 1.0}],
+        [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
 }
 
 

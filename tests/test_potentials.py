@@ -110,6 +110,22 @@ def test_morse_requires_smoothing():
     assert pot.value(1.0) == pot.value(-1.0)
 
 
+@pytest.mark.parametrize("kind, fields, match", [
+    (GaussianAR, dict(ca=1.0, la=1e-310, cr=0.6, lr=0.2), "2 ca/la"),
+    (GaussianAR, dict(ca=1e308, la=0.1, cr=0.6, lr=0.2), "2 ca/la"),
+    (GaussianAR, dict(ca=0.0, la=1.0, cr=0.6, lr=1e-309), "2 cr/lr"),
+    (GaussianAR, dict(ca=0.0, la=1e-310, cr=0.0, lr=0.2), "1/la"),
+    (Morse, dict(ca=1.0, la=1e-310, cr=0.6, lr=0.3, eps=0.05), "ca/la"),
+    (Morse, dict(ca=1.0, la=1.0, cr=1e308, lr=1e-3, eps=0.05), "cr/lr"),
+    (Morse, dict(ca=1.0, la=1.0, cr=0.0, lr=1e-310, eps=0.05), "1/lr"),
+], ids=["gauss-ca/la-tiny-la", "gauss-ca/la-huge-ca", "gauss-cr/lr", "gauss-1/la",
+        "morse-ca/la", "morse-cr/lr", "morse-1/lr"])
+def test_exponential_kinds_reject_coefficients_that_overflow(kind, fields, match):
+    # An infinite coefficient or exponent scale would make W'(0) or W(0) nan.
+    with pytest.raises(ValueError, match=match):
+        kind(**fields)
+
+
 def test_power_rejects_small_exponent():
     with pytest.raises(ValueError):
         Power(q=1.0, a=1.0)
