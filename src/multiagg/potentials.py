@@ -528,10 +528,10 @@ class _TwoExponentials(ScalarPotential):
     """W = -ca e^{-q/la} + cr e^{-q/lr} in a q of the radius: a tile evaluates both
     exponentials once, for W and W' together.
 
-    q is the radius to the power ``_order``.  The coefficients of the derivative
-    terms, ``_order`` ca/la and ``_order`` cr/lr, and the exponent scales -1/la
-    and -1/lr are taken once, and must be finite: an infinite one would make
-    W'(0) or W(0) nan.
+    The derivative coefficients ``_order`` ca/la and ``_order`` cr/lr (``_order``
+    is 2 where q is the squared radius) and the exponent scales -1/la and -1/lr
+    are taken once, and must be finite: an infinite one would make W'(0) or W(0)
+    nan.
     """
 
     ca: float
