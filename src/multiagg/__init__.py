@@ -1,11 +1,14 @@
 """Multi-species nonlocal interaction dynamics.
 
 A library for simulating systems of interacting populations driven by
-matrix-valued even kernels, with two complementary solvers:
+matrix-valued even kernels, in two state representations:
 
-* a one-dimensional quantile (pseudo-inverse distribution) integrator for
-  general measures, and
-* an exact atomic (particle) integrator in any spatial dimension.
+* one-dimensional quantile (pseudo-inverse distribution) grids for general
+  measures, and
+* exact atomic (particle) states in any spatial dimension.
+
+Both are weighted point clouds, integrated by one ``run`` and measured by
+one set of diagnostics.
 
 The analysis layer computes the geodesic-convexity modulus of the
 interaction energy in the compound transport metric, confinement and

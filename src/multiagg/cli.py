@@ -63,7 +63,7 @@ def _write_quantile_diag_csv(path, records, n):
 def _write_particle_diag_csv(path, traj, params):
     d = params.d
     header = ["t", "energy"] + [f"E_invariant_{a + 1}" for a in range(d)]
-    centers = np.reshape([measures.particle_center_of_mass(s) for s in traj.states],
+    centers = np.reshape([measures.weighted_center_of_mass(s) for s in traj.states],
                          (len(traj.states), d))
     measures.write_csv(path, header, [[measures.float_fields(traj.times),
                                        measures.float_fields(traj.energies)]
@@ -160,10 +160,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = parse_config(args.config, dt=args.dt, t_end=args.t_end, seed=args.seed)
     report = verify_mod.run_verification(cfg)
-    # Configs without quantile data run no integration; keep the configured step.
-    dt_used = report.dt if report.dt is not None else cfg.solver.dt
     payload = {"checks": report.checks, "all_passed": report.all_passed,
-               "manifest": manifest(cfg, "verify", dt_used=dt_used)}
+               "manifest": manifest(cfg, "verify", dt_used=report.dt)}
     _print_json(payload, args.out)
     return 0 if report.all_passed else 3
 

@@ -323,10 +323,7 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
     params = SystemParams(np.asarray(m), np.asarray(p), np.zeros(d), d=d)
     try:
         state = _build_initial(raw.get("initial", DEFAULT_INITIAL), params, M, used_seed)
-        if isinstance(state, ParticleState):
-            center = measures.particle_center_of_mass(state)
-        else:
-            center = np.array([measures.weighted_center_of_mass(state)])
+        center = measures.weighted_center_of_mass(state)
         params = dataclasses.replace(params, E=center)
         state = dataclasses.replace(state, params=params)
     except ConfigError:

@@ -1,11 +1,13 @@
-"""Energy, dissipation, support tracking, decay-rate fits, steady-state tests.
+"""Energy, dissipation, centre, support tracking, decay-rate fits, steady-state tests.
 
-All quadratures use the same flat midpoint rule over the M equal-mass cells
-as the solver right-hand side, so a state is diagnosed as steady exactly when
-the solver would not move it.  Energy and force field come from the pairwise
-engine ``potentials.pair_fields`` on the grid as weighted clouds, the call
-both solvers make; ``energy`` serves particle states as well.  A record takes
-both from one engine pass, and ``energy`` is that pass's energy.
+Every measure is written once over a state's weighted clouds (``clouds()``),
+so it serves quantile and particle states alike.  Quadratures use the same
+flat midpoint rule over the M equal-mass cells as the solver right-hand
+side, so a quantile state is diagnosed as steady exactly when the solver
+would not move it.  Energy and force field come from the pairwise engine
+``potentials.pair_fields``, the call both solvers make.  A record takes both
+from one engine pass, and ``energy`` is that pass's energy.  Only the
+support bounds are one-dimensional.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ class DiagnosticsRecord:
     t: float
     energy: float
     dissipation: float
-    E_invariant: float
-    supp_lo: np.ndarray
-    supp_hi: np.ndarray
-    diam: np.ndarray
+    E_invariant: float  # a length-d vector in d > 1
+    supp_lo: Optional[np.ndarray]  # the support bounds are None in d > 1
+    supp_hi: Optional[np.ndarray]
+    diam: Optional[np.ndarray]
     w2_to_ground: Optional[float] = None
 
 
@@ -60,43 +62,49 @@ def energy(state, pm: PotentialMatrix) -> float:
     return pair_fields(pm, *state.clouds(), energy=True)[1]
 
 
-def force_field(qs: QuantileState, pm: PotentialMatrix, energy=False):
-    """Convolved force sum_j (p_j/M) sum_l W'_ij(u_i[k] - u_j[l]) at each cell.
+def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
+    """Convolved force sum_j (p_j/M) sum_l W'_ij(u_i[k] - u_j[l]) at each cell, (n, M).
 
     This is the stationarity residual field: the solver velocity equals
-    -m_i times this quantity.  With ``energy``, returns (field, ``energy``)
-    from one engine pass.
+    -m_i times this quantity.
     """
-    sums = pair_fields(pm, *qs.clouds(), energy)
-    field = np.stack(sums[0] if energy else sums)[:, :, 0]
-    return (field, sums[1]) if energy else field
+    return np.stack(pair_fields(pm, *qs.clouds()))[:, :, 0]
 
 
-def dissipation(qs: QuantileState, pm: PotentialMatrix, field=None) -> float:
-    """Instantaneous energy decay rate, always <= 0.
+def dissipation(state, pm: PotentialMatrix, field=None) -> float:
+    """Instantaneous energy decay rate -sum_i m_i sum_k w_i^k |F_i^k|^2, always <= 0.
 
-    = - sum_i (m_i p_i / M) sum_k [ sum_j (p_j/M) sum_l W'_ij(u_i[k]-u_j[l]) ]^2,
-    from ``field``, the ``force_field`` of ``qs``, when given.
+    F is the engine field ``pair_fields(pm, *state.clouds())``, per species an
+    (N_i, d) array, computed unless given.
     """
-    if field is None:
-        field = force_field(qs, pm)
-    return float(-np.sum(qs.params.m * qs.params.p / qs.M * (field * field).sum(axis=1)))
+    xs, ws = state.clouds()
+    total = 0.0
+    for f, w, m in zip(pair_fields(pm, xs, ws) if field is None else field, ws, state.params.m):
+        total -= m * float((w * (f * f).sum(axis=1)).sum())
+    return total
 
 
-def ground_state(params: SystemParams, M: int) -> QuantileState:
-    """Every species concentrated at x_inf = E / sum_j (p_j / m_j).
+def concentrated(state):
+    """``state`` with every point at x_inf = E / sum_j (p_j / m_j).
 
     The unique minimizer and stationary point when the convexity modulus is
     positive; its velocity field vanishes for any admissible kernel matrix.
     """
-    x_inf = float(params.E[0]) / float(np.sum(params.p / params.m))
-    return QuantileState(np.full((params.n, M), x_inf), params)
+    x_inf = state.params.E / np.sum(state.params.p / state.params.m)
+    return state.with_clouds([np.tile(x_inf, (len(x), 1)) for x in state.clouds()[0]])
 
 
-def support_and_diameter(qs: QuantileState):
-    """Per-species support bounds (u[0], u[M-1]) and diameters."""
-    lo = qs.u[:, 0].copy()
-    hi = qs.u[:, -1].copy()
+def ground_state(params: SystemParams, M: int) -> QuantileState:
+    """The concentrated quantile state on M cells (see ``concentrated``)."""
+    return concentrated(QuantileState(np.zeros((params.n, M)), params))
+
+
+def support_and_diameter(state):
+    """Per-species support bounds and diameters of a 1-d state: each cloud's min and max,
+    which are u[:, 0] and u[:, -1] on a sorted quantile grid."""
+    xs = state.clouds()[0]
+    lo = np.array([x.min() for x in xs])
+    hi = np.array([x.max() for x in xs])
     return lo, hi, hi - lo
 
 
@@ -129,22 +137,27 @@ def fit_decay_rate(times, values, window, predicted_rate: Optional[float] = None
     return RateFit(quantity, fitted, predicted_rate, rel, r2, (t0, t1), int(t.size))
 
 
-def record(qs: QuantileState, pm: PotentialMatrix, t: float,
-           ground: Optional[QuantileState] = None, sums=None) -> DiagnosticsRecord:
-    """Assemble the standard per-snapshot diagnostics; ``sums``, the (field, energy) of
-    ``force_field(qs, pm, energy=True)``, is computed unless given."""
-    field, en = force_field(qs, pm, energy=True) if sums is None else sums
-    lo, hi, diam = support_and_diameter(qs)
-    w2 = compound_distance(qs, ground) if ground is not None else None
+def record(state, pm: PotentialMatrix, t: float, ground=None, sums=None) -> DiagnosticsRecord:
+    """The standard diagnostics of a quantile or particle state at t.
+
+    ``sums``, the (field, energy) of ``pair_fields(pm, *state.clouds(), True)``,
+    is computed unless given.  ``ground`` is a state of the same layout, such
+    as ``concentrated(state)``.  A 1-d E_invariant is a number, and the
+    support bounds are None in d > 1.
+    """
+    field, en = pair_fields(pm, *state.clouds(), True) if sums is None else sums
+    one_d = state.params.d == 1
+    lo, hi, diam = support_and_diameter(state) if one_d else (None, None, None)
+    center = weighted_center_of_mass(state)
     return DiagnosticsRecord(
         t=float(t),
         energy=en,
-        dissipation=dissipation(qs, pm, field),
-        E_invariant=weighted_center_of_mass(qs),
+        dissipation=dissipation(state, pm, field),
+        E_invariant=float(center[0]) if one_d else center,
         supp_lo=lo,
         supp_hi=hi,
         diam=diam,
-        w2_to_ground=w2,
+        w2_to_ground=None if ground is None else compound_distance(state, ground),
     )
 
 
@@ -157,9 +170,9 @@ def steady_state_check(trajectory, pm: PotentialMatrix, tol: float = 1e-8) -> St
     """
     if not trajectory.states:
         raise ValueError("trajectory is empty")
-    qs = trajectory.states[-1]
-    field, en = force_field(qs, pm, energy=True)
-    dis = dissipation(qs, pm, field)
-    residuals = np.abs(field).max(axis=1)
+    state = trajectory.states[-1]
+    field, en = pair_fields(pm, *state.clouds(), True)
+    residuals = np.array([np.abs(f).max() for f in field])
+    dis = dissipation(state, pm, field)
     verdict = bool(abs(dis) < tol * (1.0 + abs(en)))
     return SteadyStateReport(verdict, dis, en, residuals, tol)

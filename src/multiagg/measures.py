@@ -1,14 +1,13 @@
-"""State representations and transport distances in one dimension.
+"""State representations, their distances and centre, CSV snapshots.
 
 A species measure on the line is represented by its quantile (pseudo-inverse
 distribution) function sampled at the midpoints z_k = (k + 1/2) / M of M
-equal-mass cells.  Under this representation the per-species quadratic
-transport cost is a plain weighted L2 difference of quantile vectors, the
-monotone pairing being optimal in one dimension for all the costs used here.
-
-Atomic (particle) states in arbitrary dimension carry explicit positions and
-per-particle masses.  Conversions between the two views are exact for atomic
-data up to cell resolution.
+equal-mass cells.  Atomic (particle) states in arbitrary dimension carry
+explicit positions and per-particle masses.  Both are weighted clouds
+(``clouds()``), and the compound distance and the weighted centre are written
+once over them; on quantile clouds the distance is the transport distance,
+the monotone pairing being optimal in one dimension.  Conversions between
+the two views are exact for atomic data up to cell resolution.
 """
 
 from __future__ import annotations
@@ -61,9 +60,6 @@ class QuantileState:
 
     def with_u(self, u: np.ndarray) -> "QuantileState":
         return QuantileState(u, self.params)
-
-    def copy(self) -> "QuantileState":
-        return QuantileState(self.u.copy(), self.params)
 
 
 @dataclass
@@ -164,23 +160,27 @@ def particles_from_quantile(qs: QuantileState) -> ParticleState:
     return ParticleState(positions, masses, qs.params)
 
 
-def _check_compatible(a: QuantileState, b: QuantileState):
-    if a.u.shape != b.u.shape:
-        raise ValueError(f"state shapes differ: {a.u.shape} vs {b.u.shape}")
-    if not (np.array_equal(a.params.m, b.params.m) and np.array_equal(a.params.p, b.params.p)):
-        raise ValueError("states carry different mobilities or masses")
+def _check_compatible(a, b):
+    """The clouds of two states with the same layout, weights and mobilities: (xa, wa, xb)."""
+    (xa, wa), (xb, wb) = a.clouds(), b.clouds()
+    shapes = [[x.shape for x in xs] for xs in (xa, xb)]
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"state layouts differ: {shapes[0]} vs {shapes[1]}")
+    if not (np.array_equal(a.params.m, b.params.m)
+            and all(np.array_equal(u, v) for u, v in zip(wa, wb))):
+        raise ValueError("states carry different mobilities or weights")
+    return xa, wa, xb
 
 
-def compound_distance(a: QuantileState, b: QuantileState) -> float:
-    """Mobility-weighted compound quadratic transport distance.
-
-    sqrt( sum_j (1/m_j) p_j/M sum_k (u_j^a[k] - u_j^b[k])^2 ); the monotone
-    quantile pairing realizes the optimal plan per species.
-    """
-    _check_compatible(a, b)
-    diff = a.u - b.u
-    per_species = (a.params.p / a.params.m) * (diff * diff).sum(axis=1) / a.M
-    return float(np.sqrt(per_species.sum()))
+def compound_distance(a, b) -> float:
+    """sqrt( sum_i (1/m_i) sum_k w_i^k |x_i^k - y_i^k|^2 ) over labelled clouds: the compound
+    transport distance of quantile states (the monotone pairing is optimal), the labelled
+    metric ``discrete_metric`` of particle states (swapping two identical particles counts)."""
+    xa, wa, xb = _check_compatible(a, b)
+    total = 0.0
+    for x, w, y, m in zip(xa, wa, xb, a.params.m):
+        total += float((w * ((x - y) ** 2).sum(axis=1)).sum()) / m
+    return float(np.sqrt(total))
 
 
 def w1_distance(a: QuantileState, b: QuantileState, i: int) -> float:
@@ -189,24 +189,22 @@ def w1_distance(a: QuantileState, b: QuantileState, i: int) -> float:
     return float(a.params.p[i] / a.M * np.abs(a.u[i] - b.u[i]).sum())
 
 
-def winf_distance(a: QuantileState, b: QuantileState, i: int) -> float:
-    """Infinity-order transport distance of species i: max_k |du[k]|."""
-    _check_compatible(a, b)
-    return float(np.abs(a.u[i] - b.u[i]).max())
+def winf_distance(a, b, i: int) -> float:
+    """Infinity-order distance of species i under the labelled pairing: max_k |x^k - y^k|."""
+    xa, _, xb = _check_compatible(a, b)
+    return float(np.sqrt(((xa[i] - xb[i]) ** 2).sum(axis=1)).max())
 
 
-def weighted_center_of_mass(qs: QuantileState) -> float:
-    """The conserved invariant sum_j (p_j / m_j) * mean(u_j)."""
-    means = qs.u.mean(axis=1)
-    return float(np.sum(qs.params.p / qs.params.m * means))
-
-
-def particle_center_of_mass(ps: ParticleState) -> np.ndarray:
-    """sum_i (1/m_i) sum_k p_i^k x_i^k as a length-d vector."""
-    acc = np.zeros(ps.params.d)
-    for i in range(ps.n):
-        acc += (ps.masses[i][:, None] * ps.positions[i]).sum(axis=0) / ps.params.m[i]
+def weighted_center_of_mass(state) -> np.ndarray:
+    """The conserved invariant sum_i (1/m_i) sum_k w_i^k x_i^k as a length-d vector; also
+    named ``particle_center_of_mass``."""
+    acc = np.zeros(state.params.d)
+    for x, w, m in zip(*state.clouds(), state.params.m):
+        acc += (w[:, None] * x).sum(axis=0) / m
     return acc
+
+
+particle_center_of_mass = weighted_center_of_mass
 
 
 def second_moments(qs: QuantileState) -> np.ndarray:

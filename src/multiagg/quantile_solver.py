@@ -12,11 +12,16 @@ the call the particle solver makes, so both agree bit-exactly on such data.
 
 Explicit schemes only (forward Euler and classical RK4): the velocity field
 is bounded and Lipschitz on bounded states, so a step-size bound derived from
-the gradient growth estimate keeps integration stable.  One time loop,
-``_integrate``, serves both solvers.  Monotonicity of the quantile vectors is
-preserved by the continuous flow but can be crossed by a discrete step;
-per-species sorting is the metric projection back onto the monotone cone and
-is a no-op when nothing crossed.
+the gradient growth estimate keeps integration stable.  Monotonicity of the
+quantile vectors is preserved by the continuous flow but can be crossed by a
+discrete step; per-species sorting is the metric projection back onto the
+monotone cone and is a no-op when nothing crossed.
+
+Both solvers are one ``run``: it integrates a quantile or a particle state
+over its weighted clouds in one time loop (``_integrate``), records a
+``diagnostics.record`` from each recorded state's single engine pass, and
+returns one ``Trajectory``.  The sort repair leaves a particle state
+unchanged, and ``particle_solver`` only names this code.
 """
 
 from __future__ import annotations
@@ -88,11 +93,16 @@ class Trajectory:
     repair_events: int = 0
 
     @property
-    def final_state(self) -> QuantileState:
+    def final_state(self):
         return self.states[-1]
 
+    @property
+    def energies(self) -> list:
+        return [r.energy for r in self.records]
+
     def series(self, attr: str):
-        """(times, values) arrays for a scalar DiagnosticsRecord attribute."""
+        """(times, values) arrays for a DiagnosticsRecord attribute (a 1-d E_invariant is a
+        scalar, a d > 1 one a row per record)."""
         vals = [getattr(r, attr) for r in self.records]
         return np.array([r.t for r in self.records]), np.array(vals)
 
@@ -265,35 +275,35 @@ def _integrate(state, pm: PotentialMatrix, cfg: SolverConfig, traj, record, proj
     return traj
 
 
-def run(qs0: QuantileState, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
-    """Integrate to t_end, recording states and diagnostics along the way.
+def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
+    """Integrate a quantile or particle state to t_end, recording states and diagnostics.
 
-    On a numeric failure the partial trajectory is attached to the raised
-    NumericsError.  The recorded diagnostics include the compound distance to
-    the concentrated ground state whenever the convexity modulus is positive.
-    A recorded state's force field and energy come from one engine pass; the
-    field serves its dissipation and the next step.
+    Also named ``run_particles``.  On a numeric failure the partial trajectory
+    is attached to the raised NumericsError.  The recorded diagnostics include
+    the compound distance to the concentrated state whenever the convexity
+    modulus is positive.  A recorded state's force field and energy come from
+    one engine pass; the field serves its dissipation and the next step.
     """
-    traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(qs0, pm, cfg))
-    positive = modulus(pm.kappa, qs0.params) > 0.0
-    ground = diagnostics.ground_state(qs0.params, qs0.M) if positive else None
+    traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(state0, pm, cfg))
+    positive = modulus(pm.kappa, state0.params) > 0.0
+    ground = diagnostics.concentrated(state0) if positive else None
 
-    def project(qs, cfg):
-        qs, info = _sort_repair(qs, cfg)
+    def project(state, cfg):
+        state, info = _sort_repair(state, cfg)
         traj.monotonicity_violations += info.monotonicity_violated
         traj.repair_events += info.repair_applied
-        return qs, info
+        return state, info
 
-    def record(qs, t):
+    def record(state, t):
         # The loop checks the field; the other values are checked once the run ends.
         with np.errstate(**_QUIET):
-            sums = diagnostics.force_field(qs, pm, energy=True)
-            traj.records.append(diagnostics.record(qs, pm, t, ground, sums))
+            sums = pair_fields(pm, *state.clouds(), True)
+            traj.records.append(diagnostics.record(state, pm, t, ground, sums))
         traj.times.append(t)
-        traj.states.append(qs)
-        return sums[0][:, :, None]
+        traj.states.append(state)
+        return sums[0]
 
-    _integrate(qs0, pm, cfg, traj, record, project)
+    _integrate(state0, pm, cfg, traj, record, project)
     _check_records(traj, pm, [{name: v for name, v in vars(r).items()
                                if name != "t" and v is not None} for r in traj.records])
     return traj

@@ -1,8 +1,14 @@
 """Config-driven verification battery.
 
-Runs the analytical predictions applicable to a given experiment config and
-reports one pass/fail/skipped entry per check.  Inapplicable checks are
-skipped with a reason, never failed.
+Integrates the config's initial datum, its quantile state when it has one,
+else its particle state, through the one ``quantile_solver.run``, and runs
+one battery on the trajectory, reporting one pass/fail/skipped entry per
+check.  The paper's convexity results hold on R^d, so
+``center_conservation``, ``contraction``, ``dissipation_identity``,
+``ground_state`` and ``gradient_consistency`` run in every dimension; its
+support results are one-dimensional, so ``finite_propagation``,
+``delta_separation`` and ``confinement`` skip in d > 1.  Inapplicable checks
+are skipped with a reason, never failed.
 """
 
 from __future__ import annotations
@@ -28,74 +34,64 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list
-    dt: float | None = None  # step of the quantile run, None when none was run
+    dt: float | None = None  # step of the run, None when it failed without one
 
     @property
     def all_passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
 
-def _perturbed_initial(qs: measures.QuantileState) -> measures.QuantileState:
-    """A second admissible datum: shrink deviations, shift means with zero net.
+ONE_DIMENSIONAL = "the paper's support results are one-dimensional (d = 1)"
 
-    Keeps every species monotone and leaves the weighted center unchanged, so
-    both data live in the same constrained state space.
+
+def _perturbed_initial(state):
+    """A second admissible datum: shrink each cloud towards its weighted mean, shift the
+    means with zero net.
+
+    Keeps every quantile species monotone and leaves the weighted center
+    unchanged, so both data live in the same constrained state space.
     """
-    u = qs.u.copy()
-    means = u.mean(axis=1, keepdims=True)
-    u = means + 0.5 * (u - means)
-    params = qs.params
+    xs, ws = state.clouds()
+    params = state.params
+    shifts = [0.0] * params.n
     if params.n >= 2:
-        u[0] += 0.1 * params.m[0] / params.p[0]
-        u[1] -= 0.1 * params.m[1] / params.p[1]
-    return qs.with_u(u)
+        shifts[:2] = 0.1 * params.m[0] / params.p[0], -0.1 * params.m[1] / params.p[1]
+    means = [(w[:, None] * x).sum(axis=0) / w.sum() for x, w in zip(xs, ws)]
+    return state.with_clouds([c + 0.5 * (x - c) + s for x, c, s in zip(xs, means, shifts)])
 
 
 def run_verification(cfg: ExperimentConfig) -> VerificationReport:
-    checks: list[CheckResult] = []
-
-    if cfg.initial_quantile is None:
-        for name in ("center_conservation", "confinement", "contraction",
-                     "delta_separation", "dissipation_identity",
-                     "finite_propagation", "ground_state"):
-            checks.append(CheckResult(name, "skipped",
-                                      "quantile battery requires d=1 initial data"))
-        checks.append(_gradient_consistency(cfg))
-        checks.sort(key=lambda c: c.name)
-        return VerificationReport(checks)
-
+    state0 = cfg.initial_quantile if cfg.initial_quantile is not None else cfg.initial_particles
     try:
-        traj = quantile_solver.run(cfg.initial_quantile, cfg.potential, cfg.solver)
+        traj = quantile_solver.run(state0, cfg.potential, cfg.solver)
     except NumericsError as err:
-        checks.append(CheckResult("center_conservation", "fail",
-                                  f"integration failed: {err} (witness {err.witness})"))
-        checks.sort(key=lambda c: c.name)
-        return VerificationReport(checks, err.partial.dt if err.partial is not None else None)
+        failed = CheckResult("center_conservation", "fail",
+                             f"integration failed: {err} (witness {err.witness})")
+        return VerificationReport([failed], err.partial.dt if err.partial is not None else None)
 
     rate = modulus(cfg.potential.kappa, cfg.params)
-    checks.append(_center_conservation(cfg, traj))
-    checks.append(_finite_propagation(traj))
-    checks.append(_contraction(cfg, traj, rate))
-    checks.append(_delta_separation(cfg, traj))
-    checks.append(_dissipation_identity(traj))
-    checks.append(_confinement(cfg, traj))
-    checks.append(_ground_state(cfg, traj, rate))
-    checks.append(_gradient_consistency(cfg))
+    checks = [_center_conservation(cfg, traj), _contraction(cfg, traj, rate),
+              _dissipation_identity(traj), _ground_state(cfg, traj, rate),
+              _gradient_consistency(cfg)]
+    for name, check in (("confinement", _confinement), ("delta_separation", _delta_separation),
+                        ("finite_propagation", _finite_propagation)):
+        one_d = cfg.params.d == 1
+        checks.append(check(cfg, traj) if one_d else CheckResult(name, "skipped", ONE_DIMENSIONAL))
     checks.sort(key=lambda c: c.name)
     return VerificationReport(checks, traj.dt)
 
 
 def _center_conservation(cfg, traj) -> CheckResult:
     times, centers = traj.series("E_invariant")
-    scale = max(1.0, float(np.abs(cfg.initial_quantile.u).max())
-                * float(np.sum(cfg.params.p / cfg.params.m)))
+    reach = max(float(np.abs(x).max()) for x in traj.states[0].clouds()[0])
+    scale = max(1.0, reach * float(np.sum(cfg.params.p / cfg.params.m)))
     drift = float(np.abs(centers - centers[0]).max()) / scale
     status = "pass" if drift <= 1e-10 else "fail"
     return CheckResult("center_conservation", status,
                        details={"relative_drift": drift, "tolerance": 1e-10})
 
 
-def _finite_propagation(traj) -> CheckResult:
+def _finite_propagation(cfg, traj) -> CheckResult:
     hi = max(float(np.abs(r.supp_lo).max()) for r in traj.records)
     hi = max(hi, max(float(np.abs(r.supp_hi).max()) for r in traj.records))
     finite = np.isfinite(hi)
@@ -107,13 +103,13 @@ def _contraction(cfg, traj, modulus) -> CheckResult:
     if modulus <= 0.0:
         return CheckResult("contraction", "skipped",
                            "lambda0 <= 0: the contraction bound is not informative")
-    other0 = _perturbed_initial(cfg.initial_quantile)
+    other0 = _perturbed_initial(traj.states[0])
     try:
         # The companion takes the main run's step, so both record the same times.
         other = quantile_solver.run(other0, cfg.potential, replace(cfg.solver, dt=traj.dt))
     except NumericsError as err:
         return CheckResult("contraction", "fail", f"companion run failed: {err}")
-    d0 = measures.compound_distance(cfg.initial_quantile, other0)
+    d0 = measures.compound_distance(traj.states[0], other0)
     worst = 0.0
     for t, a, b in zip(traj.times, traj.states, other.states):
         bound = np.exp(-modulus * t) * d0 * 1.05 + 1e-14
@@ -207,8 +203,8 @@ def _ground_state(cfg, traj, modulus) -> CheckResult:
     if modulus * cfg.solver.t_end < 10.0:
         return CheckResult("ground_state", "skipped",
                            "horizon too short (need lambda0 * t_end >= 10)")
-    ground = diagnostics.ground_state(cfg.params, cfg.M)
     final = traj.final_state
+    ground = diagnostics.concentrated(final)
     winf = max(measures.winf_distance(final, ground, i) for i in range(cfg.params.n))
     status = "pass" if winf <= 1e-3 else "fail"
     return CheckResult("ground_state", status,

@@ -395,7 +395,7 @@ def test_cli_verify_d2_particles_runs_gradient_check(tmp_path, capsys):
     assert code == 0
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses["gradient_consistency"] == "pass"
-    assert statuses["center_conservation"] == "skipped"
+    assert statuses["center_conservation"] == "pass"
 
 
 def test_cli_verify_d2_manifest_keeps_configured_dt(tmp_path, capsys):
