@@ -147,7 +147,9 @@ class ScalarPotential:
         Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
         feeds rows k0:k1, whose own pairs it holds in both orders, and its
         columns past k1 feed points k1:.  E sums the diagonal tiles plus twice
-        the rest.
+        the rest.  In d > 1 each point's pair with itself is zeroed in the
+        tile: its term C_kk w_k (X_k - X_k) is 0, but in the product form it
+        is two terms of size |C_kk w_k X_k| that cancel in floating point.
         """
         X, fwd, rev = _sources(x, w, x[0])
         A, B = _tile_rows(X), _tile_cols(X)
@@ -155,6 +157,8 @@ class ScalarPotential:
         total = 0.0
         for k0, k1 in _triangle_tiles(len(x)):
             K, V = _tile(self, A[:, k0:k1], B[:, :, k0:], value=energy)
+            if len(A) > 1:
+                np.fill_diagonal(K, 0.0)
             s[k0:k1] += K @ fwd[k0:]
             s[k1:] += (rev[k0:k1].T @ K)[:, k1 - k0:].T
             if energy:

@@ -103,6 +103,29 @@ def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, 
         assert abs(e - naive) <= 1e-12 * (1.0 + abs(naive))
 
 
+# Kinds whose W'(r)/r keeps a nonzero limit at r = 0 (about (ca/la - cr/lr)/eps for
+# morse), so a point's pair with itself must not enter the product form in d > 1.
+SLOPED_AT_ZERO = [mg.Morse(1.0, 1.0, 0.5, 0.25, eps=eps) for eps in (1e-20, 1e-8, 1e-4)]
+SLOPED_AT_ZERO.append(mg.GaussianAR(1.0, 1.0, 0.6, 1e-9))
+
+
+@pytest.mark.parametrize("kind", SLOPED_AT_ZERO, ids=repr)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("tile", [None, 64], ids=["default-tile", "tile64"])
+def test_self_pairs_add_nothing_in_d_above_one(monkeypatch, kind, d, offset, tile):
+    if tile is not None:
+        monkeypatch.setattr(potentials, "_TILE", tile)
+    x, w = cloud(200, d, seed=d + 20)
+    x = x + offset
+    naive = naive_fields(kind, x, x, w)
+    assert close(kind.self_fields(x, w), naive)
+    f, e = kind.self_fields(x, w, energy=True)
+    assert close(f, naive)
+    naive_e = naive_energy(kind, x, w, x, w)
+    assert abs(e - naive_e) <= 1e-12 * (1.0 + abs(naive_e))
+
+
 def same_bits(a, b):
     """a equals b bit for bit where b is a number, and is nan where b is (a nan's sign
     carries nothing and is not compared)."""
