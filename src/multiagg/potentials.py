@@ -602,6 +602,8 @@ class Morse(_TwoExponentials):
                 "Morse kernel has a derivative jump at the origin; "
                 "pass a smoothing length eps > 0"
             )
+        if not self.eps * self.eps > 0.0:  # s = sqrt(z^2 + eps^2) would be 0 at z = 0
+            raise ValueError(f"Morse: eps * eps underflows to 0 for eps={self.eps!r}")
         super().__post_init__()
 
     def _smoothed(self, z2, value):
@@ -686,11 +688,20 @@ class Tabulated(_PiecewisePolynomial):
             raise ValueError("Tabulated derivative at the origin must be 0 (C1 even kernel)")
         k, v, d = np.array(knots), np.array(values), np.array(derivs)
         h = np.diff(k)
-        slope = np.diff(v) / h
         pieces = np.zeros((len(k), 4))  # the cubics, then the linear tail
         pieces[:, 0], pieces[:, 1] = v, d
-        pieces[:-1, 2] = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
-        pieces[:-1, 3] = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            slope = np.diff(v) / h
+            pieces[:-1, 2] = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
+            pieces[:-1, 3] = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
+            # The W pieces and the W' pieces that _Profile derives from them.
+            finite = np.isfinite(np.c_[pieces, pieces[:, 1:] * [1.0, 2.0, 3.0]]).all(axis=1)
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            j = int(bad[0])
+            end = repr(knots[j + 1]) + "]" if j + 1 < len(knots) else "inf)"
+            raise ValueError(f"Tabulated: a coefficient of the piece on [{knots[j]!r}, {end} "
+                             "is not finite")
         object.__setattr__(self, "_profile", _Profile(k, pieces))
 
     def _value(self, z):

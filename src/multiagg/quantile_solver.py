@@ -62,6 +62,14 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "cfl_safety"):
+            value = getattr(self, name)
+            if value is None and name == "dt":
+                continue
+            # A bool is an int to Python, but not a number to a config (see record_every).
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.t_end < np.inf:

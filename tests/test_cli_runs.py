@@ -154,6 +154,16 @@ MALFORMED = {
         [{"kind": "gaussian_ar", "ca": 1.0, "la": 1e-310, "cr": 0.6, "lr": 0.2},
          {"kind": "quadratic", "a": 1.0}],
         [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
+    "morse_eps_squared_underflows": ("potential", dict(pair_config()["potential"], entries=[
+        [{"kind": "morse", "ca": 1.0, "la": 1.0, "cr": 0.5, "lr": 0.25, "eps": 1e-170},
+         {"kind": "quadratic", "a": 1.0}],
+        [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
+    "tabulated_slope_overflows": ("potential", dict(pair_config()["potential"], entries=[
+        [{"kind": "tabulated", "knots": [0.0, 1e-310], "values": [0.0, 1.0],
+          "derivs": [0.0, 0.0]}, {"kind": "quadratic", "a": 1.0}],
+        [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
+    "solver_dt_bool": ("solver", {"dt": True, "t_end": True}),
+    "solver_dt_string": ("solver", {"dt": "0.1", "t_end": 1.0}),
 }
 
 

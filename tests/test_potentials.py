@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,32 @@ def test_exponential_kinds_reject_coefficients_that_overflow(kind, fields, match
     # An infinite coefficient or exponent scale would make W'(0) or W(0) nan.
     with pytest.raises(ValueError, match=match):
         kind(**fields)
+
+
+def test_morse_rejects_an_eps_whose_square_underflows():
+    # s = sqrt(z^2 + eps^2) would be 0 at z = 0, and W'(0) = 0 / 0.
+    with pytest.raises(ValueError, match="eps \\* eps underflows"):
+        Morse(1.0, 1.0, 0.5, 0.25, eps=1e-170)
+    with pytest.raises(ValueError, match="underflows"):
+        Morse(1.0, 1.0, 0.5, 0.25, eps=1e-162)
+    pot = Morse(1.0, 1.0, 0.5, 0.25, eps=2.3e-162)  # eps^2 is the least subnormal
+    assert pot.deriv(0.0) == 0.0 and np.isfinite(pot.deriv(1e-300))
+    x = np.array([[0.0, 0.0], [1.0, 0.5], [1e-170, 0.0]])
+    assert np.all(np.isfinite(pot.self_fields(x, np.full(3, 1.0 / 3.0))))
+
+
+@pytest.mark.parametrize("knots, values, derivs, interval", [
+    ((0.0, 1e-310), (0.0, 1.0), (0.0, 0.0), "[0.0, 1e-310]"),
+    ((0.0, 1.0, 1.0000000000000002), (0.0, 1.0, 1e300), (0.0, 1.0, 1.0),
+     "[1.0, 1.0000000000000002]"),
+    # W's cubic coefficient 1.2e308 is finite; W' takes three times it.
+    ((0.0, 1.0), (0.0, -6e307), (0.0, 0.0), "[0.0, 1.0]"),
+], ids=["slope", "second-piece", "derived-w-prime"])
+def test_tabulated_rejects_pieces_that_are_not_finite(knots, values, derivs, interval):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # quietly: no numpy overflow warning on the way
+        with pytest.raises(ValueError, match=re.escape(interval)):
+            Tabulated(knots=knots, values=values, derivs=derivs)
 
 
 def test_power_rejects_small_exponent():

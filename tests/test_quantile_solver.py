@@ -214,3 +214,16 @@ def test_solver_config_validation():
         SolverConfig(repair="clip")
     with pytest.raises(ValueError):
         SolverConfig(cfl_safety=0.0)
+
+
+@pytest.mark.parametrize("fields", [{"dt": True}, {"t_end": True}, {"cfl_safety": True},
+                                    {"dt": "0.1"}, {"t_end": "1"}, {"cfl_safety": None}])
+def test_solver_numbers_reject_bools_and_strings(fields):
+    # True would otherwise run as 1 and be written to the manifest as true.
+    with pytest.raises(ValueError, match=f"{next(iter(fields))} must be a number"):
+        SolverConfig(**fields)
+
+
+def test_solver_numbers_take_numpy_scalars():
+    cfg = SolverConfig(dt=np.float64(0.1), t_end=np.int64(2), cfl_safety=np.float32(0.5))
+    assert cfg.t_end == 2
