@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import multiagg as mg
 from multiagg.convexity import (analyze_system, confining_check, irreducible, lambda0,
-                                lambda0_scalar, necessary_condition)
+                                lambda0_scalar, modulus, necessary_condition)
 
 
 def params_n(n, m=None, p=None):
@@ -154,6 +154,41 @@ def test_lambda0_permutation_invariance(n, seed):
     permuted = lambda0(kappa[np.ix_(perm, perm)],
                        mg.SystemParams(m=m[perm], p=p[perm], E=[0.0])).lambda0
     assert permuted == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+
+def centred_hessian_floor(a, m, p, M):
+    """Smallest eigenvalue of the discrete energy's Hessian on centre-preserving directions,
+    in the metric G = diag(w_ik / m_i), for W_ij = a_ij z^2 / 2 on M cells of weight
+    w_ik = p_i / M.
+
+    The energy (1/4) sum_IJ A_IJ (x_I - x_J)^2 with A_(ik),(jl) = w_ik w_jl a_ij has
+    Hessian H = diag(A 1) - A whatever the state.  The centre sum_I G_I x_I is fixed on
+    the G-orthogonal complement of 1, which is the complement of G^(1/2) 1 in the
+    coordinates G^(1/2) x.
+    """
+    species = np.repeat(np.arange(len(m)), M)
+    w = np.asarray(p)[species] / M
+    A = np.outer(w, w) * np.asarray(a)[np.ix_(species, species)]
+    H = np.diag(A.sum(axis=1)) - A
+    root = np.sqrt(w / np.asarray(m)[species])
+    S = H / np.outer(root, root)
+    basis = np.linalg.svd(root[None, :])[2][1:]  # orthonormal complement of G^(1/2) 1
+    return float(np.linalg.eigvalsh(basis @ S @ basis.T).min())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(2, 5))
+def test_modulus_is_a_floor_of_the_centred_hessian_of_quadratic_systems(data, n, M):
+    # For all-quadratic kernels with kappa = a the declared convexity is exact, so
+    # the floor is often attained: a modulus above it by more than roundoff is wrong.
+    upper = data.draw(st.lists(st.floats(-2.0, 3.0), min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = upper
+    a = a + np.triu(a, 1).T
+    m, p = (data.draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n)) for _ in "mp")
+    lam = modulus(a, mg.SystemParams(m=m, p=p, E=[0.0]))
+    assert lam <= centred_hessian_floor(a, m, p, M) + 1e-12 * max(1.0, abs(lam))
 
 
 def test_two_species_reduced_formula():
