@@ -17,11 +17,11 @@ quantile vectors is preserved by the continuous flow but can be crossed by a
 discrete step; per-species sorting is the metric projection back onto the
 monotone cone and is a no-op when nothing crossed.
 
-Both solvers are one ``run``: it integrates a quantile or a particle state
-over its weighted clouds in one time loop (``_integrate``), records a
-``diagnostics.record`` from each recorded state's single engine pass, and
-returns one ``Trajectory``.  The sort repair leaves a particle state
-unchanged, and ``particle_solver`` only names this code.
+Both solvers are one ``run``: one time loop steps a quantile or a particle
+state's weighted clouds, builds a state object only for a record, records a
+``diagnostics.record`` from that state's single engine pass, and returns one
+``Trajectory``.  The sort repair applies to quantile states only, and
+``particle_solver`` only names this code.  ``step`` is a run of one step.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import diagnostics
 from .convexity import modulus
 from .errors import NumericsError
-from .measures import ParticleState, QuantileState
+from .measures import QuantileState
 from .potentials import (_TILE, PotentialMatrix, _grad_block, _tile_cols, _tile_rows,
                          _value_block, estimate_growth_bound, pair_fields)
 
@@ -203,115 +203,96 @@ def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2) -> float:
     return min(cfl_safety / rate, _DT_CAP)
 
 
-def _explicit_step(f, xs: list, dt: float, scheme: str, k1=None) -> list:
-    """Forward Euler or classical RK4 step of x' = f(x) on a list of arrays; k1 = f(xs) if known."""
-    if k1 is None:
-        k1 = f(xs)
-    if scheme == "euler":
-        return [x + dt * a for x, a in zip(xs, k1)]
-    k2 = f([x + 0.5 * dt * a for x, a in zip(xs, k1)])
-    k3 = f([x + 0.5 * dt * a for x, a in zip(xs, k2)])
-    k4 = f([x + dt * a for x, a in zip(xs, k3)])
-    return [x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
-            for x, a, b, c, e in zip(xs, k1, k2, k3, k4)]
-
-
 def _step_schedule(cfg: SolverConfig, dt: float):
-    """(step length, time after it, snapshot due?) for each step: steps of dt,
-    then one onto t_end unless the remainder is roundoff."""
+    """(t, snapshot due?, step to the next state or None) for each state of a run: steps
+    of dt, then one onto t_end unless the remainder is roundoff."""
     n_full = int(np.floor(cfg.t_end / dt + 1e-9))
     remainder = cfg.t_end - n_full * dt
     if remainder < 1e-12 * max(dt, 1.0):
         remainder = 0.0
     total_steps = n_full + (1 if remainder else 0)
-    for k in range(1, total_steps + 1):
-        h, t = (dt, k * dt) if k <= n_full else (remainder, cfg.t_end)
-        yield h, t, k % cfg.record_every == 0 or k == total_steps
+    for k in range(total_steps + 1):
+        t = k * dt if k <= n_full else cfg.t_end
+        h = dt if k < n_full else remainder if k < total_steps else None
+        yield t, k % cfg.record_every == 0 or k == total_steps, h
 
 
 def _resolve_dt(state, pm: PotentialMatrix, cfg: SolverConfig) -> float:
     return cfg.dt if cfg.dt is not None else stable_dt(state, pm, cfg.cfl_safety)
 
 
-def _sort_repair(qs, cfg: SolverConfig):
-    """Report a crossing of cells; with repair="sort", sort each species ascending.
-    A particle state has no cell order and passes unchanged."""
-    if isinstance(qs, ParticleState):
-        return qs, StepInfo(False, False)
-    violated = bool(np.any(np.diff(qs.u, axis=1) < 0.0))
-    repaired = violated and cfg.repair == "sort"
-    return (qs.with_u(np.sort(qs.u, axis=1)) if repaired else qs), StepInfo(violated, repaired)
+def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = None):
+    """One explicit step of a quantile or particle state: a ``run`` of that one step.
 
-
-def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = None,
-         field=None, project=_sort_repair):
-    """One explicit step of a quantile or particle state; returns ``project(new state, cfg)``.
-
-    ``field``, the engine field at ``state`` before the -m factor, is the
-    first stage.  The default projection reports a crossing of a quantile
-    state in the StepInfo and, with repair="sort", sorts it away; it leaves a
-    particle state unchanged.
+    Returns the new state and a StepInfo: whether a quantile state's cells
+    crossed and, with repair="sort", were sorted back.  A particle state has
+    no cell order and never reports a crossing.  As in a run, both states'
+    recorded values are checked and a NumericsError carries the partial
+    trajectory.
     """
     if dt is None:
         dt = _resolve_dt(state, pm, cfg)
-    xs, ws = state.clouds()
-    m = state.params.m
-    with np.errstate(**_QUIET):
-        xs1 = _explicit_step(lambda ys: _velocity(ys, ws, pm, m), list(xs), dt, cfg.scheme,
-                             None if field is None else _velocity(xs, ws, pm, m, field))
-    if not all(np.all(np.isfinite(x)) for x in xs1):
-        raise NumericsError(f"non-finite state after step of dt={dt}",
-                            witness=_nonfinite_witness(xs1, pm))
-    return project(state.with_clouds(xs1), cfg)
-
-
-def _integrate(state, pm: PotentialMatrix, cfg: SolverConfig, traj, record, project=_sort_repair):
-    """The time loop of both solvers, steps of ``traj.dt`` each followed by ``project`` (see
-    ``step``).  ``record(state, t)`` stores the state at t = 0 and at each due time in
-    ``traj`` and returns the engine field there, or None, for the next step.  A
-    returned field is checked like a velocity, the last one after the loop."""
-    field = record(state, 0.0)
-    try:
-        for h, t, due in _step_schedule(cfg, traj.dt):
-            state, _ = step(state, pm, cfg, h, field, project)
-            field = record(state, t) if due else None
-        if field is not None:  # no step takes the last field as its first stage
-            _velocity(*state.clouds(), pm, state.params.m, field)
-    except NumericsError as err:
-        err.partial = traj
-        raise
-    return traj
+    traj = run(state, pm, replace(cfg, dt=dt, t_end=dt, record_every=1))
+    return traj.final_state, StepInfo(traj.monotonicity_violations > 0,
+                                      traj.repair_events > 0)
 
 
 def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     """Integrate a quantile or particle state to t_end, recording states and diagnostics.
 
-    Also named ``run_particles``.  On a numeric failure the partial trajectory
+    Also named ``run_particles``.  The loop steps the state's weighted clouds
+    and builds a state object only for a record.  Each state's first stage is
+    one engine pass, which for a recorded state also gives its energy and the
+    field of its dissipation; that pass is checked like every RK stage.  After
+    a step a crossing of a quantile state's cells is counted and, with
+    repair="sort", sorted away.  On a numeric failure the partial trajectory
     is attached to the raised NumericsError.  The recorded diagnostics include
     the compound distance to the concentrated state whenever the convexity
-    modulus is positive.  A recorded state's force field and energy come from
-    one engine pass; the field serves its dissipation and the next step.
+    modulus is positive.
     """
     traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(state0, pm, cfg))
     positive = modulus(pm.kappa, state0.params) > 0.0
     ground = diagnostics.concentrated(state0) if positive else None
+    xs, ws = state0.clouds()
+    xs, m = list(xs), state0.params.m
+    quantile = isinstance(state0, QuantileState)
 
-    def project(state, cfg):
-        state, info = _sort_repair(state, cfg)
-        traj.monotonicity_violations += info.monotonicity_violated
-        traj.repair_events += info.repair_applied
-        return state, info
+    def f(ys):
+        return _velocity(ys, ws, pm, m)
 
-    def record(state, t):
-        # The loop checks the field; the other values are checked once the run ends.
-        with np.errstate(**_QUIET):
-            sums = pair_fields(pm, *state.clouds(), True)
-            traj.records.append(diagnostics.record(state, pm, t, ground, sums))
-        traj.times.append(t)
-        traj.states.append(state)
-        return sums[0]
-
-    _integrate(state0, pm, cfg, traj, record, project)
+    try:
+        for t, due, h in _step_schedule(cfg, traj.dt):
+            # The field is checked below; the other recorded values once the run ends.
+            with np.errstate(**_QUIET):
+                sums = pair_fields(pm, xs, ws, due)
+                if due:
+                    state = state0.with_clouds(xs) if traj.states else state0
+                    traj.records.append(diagnostics.record(state, pm, t, ground, sums))
+                    traj.times.append(t)
+                    traj.states.append(state)
+            k1 = _velocity(xs, ws, pm, m, sums[0] if due else sums)
+            if h is None:
+                break
+            with np.errstate(**_QUIET):
+                if cfg.scheme == "euler":
+                    xs = [x + h * a for x, a in zip(xs, k1)]
+                else:
+                    k2 = f([x + 0.5 * h * a for x, a in zip(xs, k1)])
+                    k3 = f([x + 0.5 * h * a for x, a in zip(xs, k2)])
+                    k4 = f([x + h * a for x, a in zip(xs, k3)])
+                    xs = [x + h / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+                          for x, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+            if not all(np.all(np.isfinite(x)) for x in xs):
+                raise NumericsError(f"non-finite state after step of dt={h}",
+                                    witness=_nonfinite_witness(xs, pm))
+            if quantile and any(np.any(np.diff(x[:, 0]) < 0.0) for x in xs):
+                traj.monotonicity_violations += 1
+                if cfg.repair == "sort":
+                    xs = [np.sort(x, axis=0) for x in xs]
+                    traj.repair_events += 1
+    except NumericsError as err:
+        err.partial = traj
+        raise
     _check_records(traj, pm, [{name: v for name, v in vars(r).items()
                                if name != "t" and v is not None} for r in traj.records])
     return traj

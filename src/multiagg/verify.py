@@ -148,6 +148,13 @@ def _dissipation_identity(traj) -> CheckResult:
     if len(recs) < 3:
         return CheckResult("dissipation_identity", "skipped",
                            "need at least 3 recorded snapshots")
+    h = recs[1].t - recs[0].t
+    tol = max(1e-6, 5.0 * h * h)
+    if tol >= 0.1:
+        # Such a tolerance would pass a dissipation off by 10% or more.
+        return CheckResult("dissipation_identity", "skipped",
+                           f"records {h:g} apart: the tolerance 5 h^2 = {tol:g} is "
+                           "not below 0.1")
     usable = 0
     worst = 0.0
     for k in range(1, len(recs) - 1):
@@ -168,8 +175,6 @@ def _dissipation_identity(traj) -> CheckResult:
     if usable == 0:
         return CheckResult("dissipation_identity", "skipped",
                            "dissipation below resolution at all interior snapshots")
-    h = recs[1].t - recs[0].t
-    tol = max(1e-6, 5.0 * h * h)
     status = "pass" if worst <= tol else "fail"
     return CheckResult("dissipation_identity", status,
                        details={"max_relative_error": worst, "tolerance": tol,

@@ -152,3 +152,35 @@ def test_last_recorded_field_is_checked():
             run(qs, pm, SolverConfig(dt=0.1, t_end=0.0))
     assert exc.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
     assert exc.value.partial.times == [0.0]
+
+
+@pytest.mark.parametrize("particles", [False, True])
+def test_a_run_builds_a_state_only_for_a_record(monkeypatch, particles):
+    qs, pm = two_species()
+    state = particles_from_quantile(qs) if particles else qs
+    built = [0]
+    for cls in (mg.QuantileState, mg.ParticleState):
+        def counted(self, original=cls.__post_init__):
+            built[0] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    traj = run(state, pm, SolverConfig(dt=0.01, t_end=20 * 0.01, record_every=5))
+    assert len(traj.records) == 5 and traj.states[0] is state
+    assert built[0] <= len(traj.records)
+
+
+def crossing_run(repair):
+    # Two cells attracted at very different strengths: an Euler step of 0.9
+    # makes them cross.
+    pm = mg.matrix_from_entries([[mg.GaussianAR(1.0, 1.0, 0.0, 1.0)]], kappa=[[-1.0]])
+    u = np.array([[0.0, 2.4, 2.6]])
+    qs = mg.QuantileState(u, mg.SystemParams(m=[1.0], p=[1.0], E=[u.mean()]))
+    return run(qs, pm, SolverConfig(dt=0.9, t_end=1.8, scheme="euler", repair=repair))
+
+
+def test_run_counts_and_repairs_crossings():
+    fixed, raw = crossing_run("sort"), crossing_run("none")
+    assert (fixed.monotonicity_violations, fixed.repair_events) == (2, 2)
+    assert (raw.monotonicity_violations, raw.repair_events) == (1, 0)
+    assert all(state.is_monotone() for state in fixed.states)
+    assert raw.times[1] == 0.9 and not raw.states[1].is_monotone()

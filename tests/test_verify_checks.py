@@ -148,3 +148,14 @@ def test_quantile_and_particle_batteries_agree_bit_for_bit():
     for a, b in zip(grid.checks, atoms.checks):
         assert a.details == b.details, a.name
     assert grid.dt == atoms.dt
+
+
+def test_dissipation_identity_skips_records_too_far_apart_to_resolve_it():
+    # Records 0.5 apart give a tolerance 5 h^2 = 1.25, which the 46% error of
+    # this run's Simpson sums would pass; its first records show the same error.
+    cfg = convex_plane_config()
+    solver = dataclasses.replace(cfg.solver, t_end=1.5)
+    check = verify._dissipation_identity(
+        quantile_solver.run(cfg.initial_particles, cfg.potential, solver))
+    assert check.status == "skipped"
+    assert check.reason == "records 0.5 apart: the tolerance 5 h^2 = 1.25 is not below 0.1"
