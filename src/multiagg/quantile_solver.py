@@ -282,6 +282,8 @@ def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
                     k4 = f([x + h * a for x, a in zip(xs, k3)])
                     xs = [x + h / 6.0 * (a + 2.0 * b + 2.0 * c + e)
                           for x, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+            # Free this step's stages before the next engine pass allocates its tiles.
+            sums = k1 = k2 = k3 = k4 = None
             if not all(np.all(np.isfinite(x)) for x in xs):
                 raise NumericsError(f"non-finite state after step of dt={h}",
                                     witness=_nonfinite_witness(xs, pm))
