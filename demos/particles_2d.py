@@ -1,6 +1,6 @@
 """Planar two-species swarm driven by smoothed Morse kernels.
 
-The atomic solver is exact for finite particle systems in any dimension.
+The atomic dynamics are exact for finite particle systems in any dimension.
 Species 1 self-organizes under a short-range-repulsive, long-range-attractive
 kernel while species 2 is pulled quadratically toward it; the discrete energy
 decays monotonically and the mobility-weighted center of mass is conserved to
@@ -21,17 +21,16 @@ pm = mg.matrix_from_entries(
 xs = [rng.normal(scale=1.5, size=(24, 2)), rng.normal(loc=[2.0, 0.0], size=(12, 2))]
 params_draft = mg.SystemParams(m=[1.0, 2.0], p=[1.0, 1.0], E=[0.0, 0.0], d=2)
 ps = mg.equal_mass_particles(xs, params_draft)
-center = mg.particle_center_of_mass(ps)
+center = mg.weighted_center_of_mass(ps)
 params = mg.SystemParams(m=[1.0, 2.0], p=[1.0, 1.0], E=center, d=2)
 ps = mg.ParticleState(ps.positions, ps.masses, params)
 
 print(f"36 particles in the plane, weighted center {np.round(center, 6).tolist()}")
-traj = mg.run_particles(ps, pm, mg.SolverConfig(dt=5e-3, t_end=20.0, scheme="rk4",
-                                                record_every=400))
+traj = mg.run(ps, pm, mg.SolverConfig(dt=5e-3, t_end=20.0, scheme="rk4", record_every=400))
 
 print(f"\n{'t':>6} {'energy':>12} {'center drift':>13} {'spread 1':>9} {'spread 2':>9}")
 for t, state, energy in zip(traj.times, traj.states, traj.energies):
-    drift = float(np.abs(mg.particle_center_of_mass(state) - center).max())
+    drift = float(np.abs(mg.weighted_center_of_mass(state) - center).max())
     spreads = [float(np.linalg.norm(x - x.mean(axis=0), axis=1).max())
                for x in state.positions]
     print(f"{t:6.1f} {energy:12.6f} {drift:13.2e} {spreads[0]:9.4f} {spreads[1]:9.4f}")

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, measures, quantile_solver, particle_solver, verify as verify_mod
+from . import diagnostics, measures, quantile_solver, verify as verify_mod
 from .config import manifest, parse_config, write_manifest
 from .convexity import analyze_system, modulus
 from .errors import ConfigError, NumericsError
@@ -120,8 +120,7 @@ def _cmd_particles(args) -> int:
         _write_particle_diag_csv(_diag_path(args.out), traj, cfg.params)
         write_manifest(args.out, cfg, "particles", traj.dt)
 
-    return _run_and_write(lambda: particle_solver.run_particles(ps0, cfg.potential, cfg.solver),
-                          write)
+    return _run_and_write(lambda: quantile_solver.run(ps0, cfg.potential, cfg.solver), write)
 
 
 def _cmd_diagnose(args) -> int:

@@ -176,18 +176,24 @@ def _potential_matrix(raw, n, issues) -> Optional[PotentialMatrix]:
 
 def _build_preset(name: str, args: dict, n: int, M: int, rng) -> np.ndarray:
     z = measures.cell_midpoints(M)
+    issues: list = []
     if name == "two_diracs":
-        positions = args.get("positions")
-        if not isinstance(positions, list) or len(positions) != n:
-            raise ConfigError(f"initial.args.positions: expected {n} positions")
-        return np.array([[float(x)] * M for x in positions])
+        positions = _vector(args.get("positions"), "initial.args.positions", issues, length=n)
+        if issues:
+            raise ConfigError(issues)
+        return np.array([[x] * M for x in positions])
     if name == "uniform":
-        lo = args.get("lo", -1.0)
-        hi = args.get("hi", 1.0)
-        lo = [lo] * n if isinstance(lo, (int, float)) else lo
-        hi = [hi] * n if isinstance(hi, (int, float)) else hi
-        if len(lo) != n or len(hi) != n:
-            raise ConfigError(f"initial.args.lo/hi: expected scalars or {n}-vectors")
+        bounds = []
+        for key, default in (("lo", -1.0), ("hi", 1.0)):
+            raw, path = args.get(key, default), f"initial.args.{key}"
+            if isinstance(raw, list):
+                bounds.append(_vector(raw, path, issues, length=n))
+            else:
+                value = _number(raw, path, issues)
+                bounds.append(None if value is None else [value] * n)
+        if issues:
+            raise ConfigError(issues)
+        lo, hi = bounds
         u = np.empty((n, M))
         for i in range(n):
             if not hi[i] > lo[i]:
@@ -195,11 +201,16 @@ def _build_preset(name: str, args: dict, n: int, M: int, rng) -> np.ndarray:
             u[i] = lo[i] + (hi[i] - lo[i]) * z
         return u
     if name == "gauss_pair":
-        centers = args.get("centers", [-1.0, 1.0])
-        sigma = args.get("sigma", 0.25)
-        weights = args.get("weights", [0.5, 0.5])
-        if len(centers) != 2 or len(weights) != 2:
-            raise ConfigError("initial.args: gauss_pair needs two centers and two weights")
+        centers = _vector(args.get("centers", [-1.0, 1.0]), "initial.args.centers", issues,
+                          length=2)
+        sigma = _number(args.get("sigma", 0.25), "initial.args.sigma", issues)
+        weights = _vector(args.get("weights", [0.5, 0.5]), "initial.args.weights", issues,
+                          length=2)
+        if weights is not None and not (min(weights) >= 0.0 and sum(weights) > 0.0):
+            issues.append("initial.args.weights: expected non-negative weights with a "
+                          "positive sum")
+        if issues:
+            raise ConfigError(issues)
         u = np.empty((n, M))
         for i in range(n):
             which = rng.random(M) < weights[0] / (weights[0] + weights[1])
@@ -257,6 +268,9 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
         issues.append("params: expected an object with 'm' and 'p'")
     else:
         m = _vector(params_raw.get("m"), "params.m", issues)
+        if m == []:
+            issues.append("params.m: expected at least one species")
+            m = None
         p = _vector(params_raw.get("p"), "params.p", issues, length=len(m) if m else None)
         if m is not None and any(v <= 0 for v in m):
             issues.append("params.m: mobilities must be positive")

@@ -2,10 +2,10 @@
 
 Every measure is written once over a state's weighted clouds (``clouds()``),
 so it serves quantile and particle states alike.  Quadratures use the same
-flat midpoint rule over the M equal-mass cells as the solver right-hand
-side, so a quantile state is diagnosed as steady exactly when the solver
-would not move it.  Energy and force field come from the pairwise engine
-``potentials.pair_fields``, the call both solvers make.  A record takes both
+flat midpoint rule over the M equal-mass cells as the solver velocity, so
+a quantile state is diagnosed as steady exactly when the solver would not
+move it.  Energy and force field come from the pairwise engine
+``potentials.pair_fields``, the call the time loop makes.  A record takes both
 from one engine pass, and ``energy`` is that pass's energy.  Only the
 support bounds are one-dimensional.
 """
@@ -58,17 +58,8 @@ class SteadyStateReport:
 
 def energy(state, pm: PotentialMatrix) -> float:
     """(1/2) sum_ij sum_kl w_i^k w_j^l W_ij(x_i^k - x_j^l) over the clouds of a quantile
-    (w = p_i / M, x = u_i[k]) or particle state; also named ``discrete_energy``."""
+    (w = p_i / M, x = u_i[k]) or particle state."""
     return pair_fields(pm, *state.clouds(), energy=True)[1]
-
-
-def force_field(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
-    """Convolved force sum_j (p_j/M) sum_l W'_ij(u_i[k] - u_j[l]) at each cell, (n, M).
-
-    This is the stationarity residual field: the solver velocity equals
-    -m_i times this quantity.
-    """
-    return np.stack(pair_fields(pm, *qs.clouds()))[:, :, 0]
 
 
 def dissipation(state, pm: PotentialMatrix, field=None) -> float:

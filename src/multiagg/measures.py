@@ -56,10 +56,7 @@ class QuantileState:
         return self.u[:, :, None], np.repeat((self.params.p / self.M)[:, None], self.M, axis=1)
 
     def with_clouds(self, xs) -> "QuantileState":
-        return self.with_u(np.stack(xs)[:, :, 0])
-
-    def with_u(self, u: np.ndarray) -> "QuantileState":
-        return QuantileState(u, self.params)
+        return QuantileState(np.stack(xs)[:, :, 0], self.params)
 
 
 @dataclass
@@ -175,18 +172,12 @@ def _check_compatible(a, b):
 def compound_distance(a, b) -> float:
     """sqrt( sum_i (1/m_i) sum_k w_i^k |x_i^k - y_i^k|^2 ) over labelled clouds: the compound
     transport distance of quantile states (the monotone pairing is optimal), the labelled
-    metric ``discrete_metric`` of particle states (swapping two identical particles counts)."""
+    metric of particle states (swapping two identical particles counts)."""
     xa, wa, xb = _check_compatible(a, b)
     total = 0.0
     for x, w, y, m in zip(xa, wa, xb, a.params.m):
         total += float((w * ((x - y) ** 2).sum(axis=1)).sum()) / m
     return float(np.sqrt(total))
-
-
-def w1_distance(a: QuantileState, b: QuantileState, i: int) -> float:
-    """First-order transport distance of species i: (p_i/M) sum_k |du[k]|."""
-    _check_compatible(a, b)
-    return float(a.params.p[i] / a.M * np.abs(a.u[i] - b.u[i]).sum())
 
 
 def winf_distance(a, b, i: int) -> float:
@@ -196,20 +187,11 @@ def winf_distance(a, b, i: int) -> float:
 
 
 def weighted_center_of_mass(state) -> np.ndarray:
-    """The conserved invariant sum_i (1/m_i) sum_k w_i^k x_i^k as a length-d vector; also
-    named ``particle_center_of_mass``."""
+    """The conserved invariant sum_i (1/m_i) sum_k w_i^k x_i^k as a length-d vector."""
     acc = np.zeros(state.params.d)
     for x, w, m in zip(*state.clouds(), state.params.m):
         acc += (w[:, None] * x).sum(axis=0) / m
     return acc
-
-
-particle_center_of_mass = weighted_center_of_mass
-
-
-def second_moments(qs: QuantileState) -> np.ndarray:
-    """Per-species second moments (p_i/M) sum_k u_i[k]^2."""
-    return qs.params.p / qs.M * (qs.u * qs.u).sum(axis=1)
 
 
 # --- CSV snapshot formats -------------------------------------------------

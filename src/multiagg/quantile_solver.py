@@ -8,7 +8,7 @@ the midpoint-quadrature discretization of the nonlocal velocity field; the
 quadrature is exact for atomic (equal-mass-cell) data, so such states evolve
 as exact particle solutions.  The velocity comes from the engine
 ``potentials.pair_fields`` on the grid as clouds of M points of weight p_i / M,
-the call the particle solver makes, so both agree bit-exactly on such data.
+the call a particle state makes, so both agree bit-exactly on such data.
 
 Explicit schemes only (forward Euler and classical RK4): the velocity field
 is bounded and Lipschitz on bounded states, so a step-size bound derived from
@@ -20,8 +20,8 @@ monotone cone and is a no-op when nothing crossed.
 Both solvers are one ``run``: one time loop steps a quantile or a particle
 state's weighted clouds, builds a state object only for a record, records a
 ``diagnostics.record`` from that state's single engine pass, and returns one
-``Trajectory``.  The sort repair applies to quantile states only, and
-``particle_solver`` only names this code.  ``step`` is a run of one step.
+``Trajectory``.  The sort repair applies to quantile states only.  ``step`` is
+a run of one step.
 """
 
 from __future__ import annotations
@@ -174,9 +174,13 @@ def _check_records(traj, pm: PotentialMatrix, values: list):
                                 partial=partial)
 
 
-def rhs(qs: QuantileState, pm: PotentialMatrix) -> np.ndarray:
-    """Velocity grid v_i[k] = m_i sum_j p_j (1/M) sum_l W'_ij(u_j[l] - u_i[k])."""
-    return np.stack(_velocity(*qs.clouds(), pm, qs.params.m))[:, :, 0]
+def velocity(state, pm: PotentialMatrix) -> list:
+    """Velocities -m_i sum_j sum_l w_j^l grad W_ij(x_i^k - x_j^l) of a quantile or particle
+    state, per species an (N_i, d) array: -m_i / w_i^k times the energy gradient at x_i^k.
+
+    A non-finite velocity raises NumericsError with a witness.
+    """
+    return _velocity(*state.clouds(), pm, state.params.m)
 
 
 def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2) -> float:
@@ -240,15 +244,14 @@ def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = No
 def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     """Integrate a quantile or particle state to t_end, recording states and diagnostics.
 
-    Also named ``run_particles``.  The loop steps the state's weighted clouds
-    and builds a state object only for a record.  Each state's first stage is
-    one engine pass, which for a recorded state also gives its energy and the
-    field of its dissipation; that pass is checked like every RK stage.  After
-    a step a crossing of a quantile state's cells is counted and, with
-    repair="sort", sorted away.  On a numeric failure the partial trajectory
-    is attached to the raised NumericsError.  The recorded diagnostics include
-    the compound distance to the concentrated state whenever the convexity
-    modulus is positive.
+    The loop steps the state's weighted clouds and builds a state object only
+    for a record.  Each state's first stage is one engine pass, which for a
+    recorded state also gives its energy and the field of its dissipation;
+    that pass is checked like every RK stage.  After a step a crossing of a
+    quantile state's cells is counted and, with repair="sort", sorted away.
+    On a numeric failure the partial trajectory is attached to the raised
+    NumericsError.  The recorded diagnostics include the compound distance to
+    the concentrated state whenever the convexity modulus is positive.
     """
     traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(state0, pm, cfg))
     positive = modulus(pm.kappa, state0.params) > 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import diagnostics, measures, particle_solver, quantile_solver
+from . import diagnostics, measures, quantile_solver
 from .config import ExperimentConfig
 from .convexity import confining_check, modulus
 from .errors import NumericsError
@@ -223,7 +223,7 @@ def _gradient_consistency(cfg) -> CheckResult:
     ps = cfg.initial_particles
     if ps is None:
         return CheckResult("gradient_consistency", "skipped", "no particle representation")
-    vel = particle_solver.particle_rhs(ps, cfg.potential)
+    vel = quantile_solver.velocity(ps, cfg.potential)
     h = 1e-6
     worst = 0.0
     scale = max(float(np.abs(v).max()) for v in vel) or 1.0

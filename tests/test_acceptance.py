@@ -13,10 +13,9 @@ import pytest
 import multiagg as mg
 from multiagg import cli
 from multiagg.convexity import confining_check, lambda0
-from multiagg.diagnostics import fit_decay_rate, ground_state
+from multiagg.diagnostics import energy, fit_decay_rate, ground_state
 from multiagg.measures import cell_midpoints, compound_distance, winf_distance
-from multiagg.particle_solver import discrete_energy, particle_rhs, run_particles
-from multiagg.quantile_solver import SolverConfig, run, stable_dt
+from multiagg.quantile_solver import SolverConfig, run, stable_dt, velocity
 
 
 def attractive_pair(M, lo, hi):
@@ -197,7 +196,7 @@ def test_criterion_7_gradient_flow_consistency():
         m = rng.uniform(0.5, 2.0, size=2)
         center = sum((w[:, None] * x).sum(0) / mi for x, w, mi in zip(xs, ws, m))
         ps = mg.ParticleState(xs, ws, mg.SystemParams(m=m, p=p, E=center, d=d))
-        vel = particle_rhs(ps, pm)
+        vel = velocity(ps, pm)
         scale = max(1.0, max(np.abs(v).max() for v in vel))
         h = 1e-6
         for i in range(2):
@@ -206,7 +205,7 @@ def test_criterion_7_gradient_flow_consistency():
                     plus, minus = ps.copy(), ps.copy()
                     plus.positions[i][k, axis] += h
                     minus.positions[i][k, axis] -= h
-                    fd = (discrete_energy(plus, pm) - discrete_energy(minus, pm)) / (2 * h)
+                    fd = (energy(plus, pm) - energy(minus, pm)) / (2 * h)
                     want = -m[i] / ws[i][k] * fd
                     worst = max(worst, abs(vel[i][k, axis] - want) / scale)
     assert worst <= 1e-5
@@ -228,7 +227,7 @@ def test_criterion_8_cross_solver_equivalence():
     cfg = SolverConfig(dt=1e-3, t_end=1.0, scheme="rk4", repair="none",
                        record_every=100)
     qt = run(qs, pm, cfg)
-    pt = run_particles(ps, pm, cfg)
+    pt = run(ps, pm, cfg)
     assert qt.times == pt.times
     worst = max(np.abs(a.u[i] - b.positions[i].ravel()).max()
                 for a, b in zip(qt.states, pt.states) for i in range(2))

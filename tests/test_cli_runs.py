@@ -164,6 +164,10 @@ MALFORMED = {
         [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
     "solver_dt_bool": ("solver", {"dt": True, "t_end": True}),
     "solver_dt_string": ("solver", {"dt": "0.1", "t_end": 1.0}),
+    "uniform_bool_lo": ("initial", {"type": "preset", "name": "uniform",
+                                    "args": {"lo": True, "hi": 2.0}}),
+    "uniform_string_hi": ("initial", {"type": "preset", "name": "uniform",
+                                      "args": {"lo": 0.0, "hi": "2.0"}}),
 }
 
 
@@ -179,6 +183,28 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     config = write(tmp_path / "bad.json", malformed_config(case))
     assert cli.main(["analyze", "--config", config]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,path", [("uniform_bool_lo", "initial.args.lo"),
+                                       ("uniform_string_hi", "initial.args.hi"),
+                                       ("gauss_pair_string_sigma", "initial.args.sigma"),
+                                       ("gauss_pair_zero_weights", "initial.args.weights")])
+def test_preset_argument_errors_name_their_path(tmp_path, capsys, case, path):
+    config = write(tmp_path / "bad.json", malformed_config(case))
+    assert cli.main(["analyze", "--config", config]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,potential", [
+    ([], {"entries": [], "kappa": []}),
+    ([], pair_config()["potential"]),
+    ([1.0], pair_config()["potential"]),
+], ids=["no_kernels", "one_kernel", "one_mass"])
+def test_no_species_is_a_config_error(tmp_path, capsys, p, potential):
+    raw = dict(pair_config(), params={"m": [], "p": p}, potential=potential)
+    config = write(tmp_path / "bad.json", raw)
+    assert cli.main(["analyze", "--config", config]) == 2
+    assert capsys.readouterr().err == "config error: params.m: expected at least one species\n"
 
 
 def test_malformed_config_exits_2_without_traceback(tmp_path):
@@ -256,3 +282,39 @@ def test_numeric_failure_prints_one_line_and_no_numpy_warning(tmp_path):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr
+
+
+def plane_config():
+    """Two species of atoms in the plane."""
+    quad = {"kind": "quadratic", "a": 0.5}
+    return {
+        "params": {"m": [1.0, 0.5], "p": [1.0, 0.8], "d": 2},
+        "potential": {"entries": [[{"kind": "gaussian_ar", "ca": 1.0, "la": 1.0, "cr": 0.5,
+                                    "lr": 0.3}, quad],
+                                  [quad, {"kind": "power", "q": 4.0, "a": 0.1}]],
+                      "kappa": [[0.0, 0.5], [0.5, 0.0]]},
+        "initial": {"type": "particles", "species": [
+            {"x": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], "mass": [0.5, 0.25, 0.25]},
+            {"x": [[0.3, -0.2], [-1.0, 0.4]], "mass": [0.4, 0.4]}]},
+        "solver": {"dt": 0.01, "t_end": 0.1, "record_every": 5},
+    }
+
+
+@pytest.mark.parametrize("command,raw,outputs", [
+    ("simulate", dict(pair_config(), initial={"type": "preset", "name": "gauss_pair",
+                                              "args": {"sigma": 0.3}}),
+     ["out.csv", "out.csv.manifest.json", "out.diag.csv"]),
+    ("particles", plane_config(), ["out.csv", "out.csv.manifest.json", "out.diag.csv"]),
+    ("verify", pair_config(), ["out.json"]),
+])
+def test_identical_config_and_seed_reproduce_identical_files(tmp_path, command, raw, outputs):
+    files = []
+    for run in ("first", "second"):
+        work = tmp_path / run
+        work.mkdir()
+        config = write(work / "run.json", raw)
+        out = work / outputs[0]
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+        files.append({f.name: f.read_bytes() for f in sorted(work.iterdir())})
+    assert sorted(files[0]) == sorted(["run.json"] + outputs)
+    assert files[0] == files[1]

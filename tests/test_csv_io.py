@@ -69,7 +69,7 @@ def ref_particle_diag_csv(path, traj, params):
         writer = csv.writer(fh)
         writer.writerow(header)
         for t, state, en in zip(traj.times, traj.states, traj.energies):
-            center = measures.particle_center_of_mass(state)
+            center = measures.weighted_center_of_mass(state)
             writer.writerow([repr(float(t)), repr(float(en))]
                             + [repr(float(v)) for v in center])
 

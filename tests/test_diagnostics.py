@@ -3,9 +3,10 @@ import pytest
 
 import multiagg as mg
 from multiagg import diagnostics
-from multiagg.diagnostics import (dissipation, energy, fit_decay_rate, force_field,
-                                  ground_state, steady_state_check, support_and_diameter)
-from multiagg.quantile_solver import SolverConfig, rhs, run
+from multiagg.diagnostics import (dissipation, energy, fit_decay_rate, ground_state,
+                                  steady_state_check, support_and_diameter)
+from multiagg.potentials import pair_fields
+from multiagg.quantile_solver import SolverConfig, run, velocity
 
 
 def sp(m, p, E=0.0):
@@ -40,7 +41,7 @@ def test_dissipation_zero_at_steady_state():
     assert dissipation(qs, pm) == 0.0
 
 
-def test_dissipation_nonpositive_and_matches_rhs_identity():
+def test_dissipation_nonpositive_and_matches_velocity_identity():
     rng = np.random.default_rng(2)
     pm = mg.matrix_from_entries(
         [[mg.GaussianAR(1.0, 1.0, 0.5, 2.0), mg.Quadratic(0.7)],
@@ -52,10 +53,9 @@ def test_dissipation_nonpositive_and_matches_rhs_identity():
         qs = mg.QuantileState(u, params)
         dis = dissipation(qs, pm)
         assert dis <= 0.0
-        v = rhs(qs, pm)
+        v = np.stack(velocity(qs, pm))[:, :, 0]
         identity = -float(np.sum(params.p / (params.m * 12) * (v * v).sum(axis=1)))
         assert dis == pytest.approx(identity, rel=1e-12, abs=1e-15)
-        assert np.allclose(v, -params.m[:, None] * force_field(qs, pm), rtol=1e-12, atol=0)
 
 
 def test_dissipation_matches_energy_derivative_along_trajectory(two_species_attractive):
@@ -82,7 +82,7 @@ def test_ground_state_worked_examples():
          [None, mg.DoubleWell(1.0, 1.0)]],
         kappa=np.zeros((2, 2)))
     assert dissipation(gs, pm) == 0.0
-    assert np.all(rhs(gs, pm) == 0.0)
+    assert all(np.all(v == 0.0) for v in velocity(gs, pm))
 
 
 def test_support_and_diameter():
@@ -159,7 +159,8 @@ def test_steady_state_check_evaluates_the_field_once(monkeypatch):
     u = np.sort(np.random.default_rng(5).normal(size=(1, 40)), axis=1)
     qs = mg.QuantileState(u, sp([1.0], [1.0], E=float(u.mean())))
     traj = run(qs, pm, SolverConfig(dt=0.01, t_end=0.0))
-    expected = (dissipation(qs, pm), energy(qs, pm), np.abs(force_field(qs, pm)).max(axis=1))
+    expected = (dissipation(qs, pm), energy(qs, pm),
+                np.array([np.abs(f).max() for f in pair_fields(pm, *qs.clouds())]))
     original, calls = diagnostics.pair_fields, []
 
     def counted(*args):

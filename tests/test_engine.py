@@ -10,9 +10,8 @@ import pytest
 
 import multiagg as mg
 from multiagg.measures import particles_from_quantile
-from multiagg.particle_solver import discrete_energy, particle_rhs
 from multiagg.potentials import pair_fields
-from multiagg.quantile_solver import rhs
+from multiagg.quantile_solver import velocity
 
 DIRECT_KINDS = [
     mg.GaussianAR(1.0, 1.0, 0.6, 0.2),
@@ -32,10 +31,9 @@ def test_quantile_and_particle_paths_agree_bit_exactly(kind):
     # Row tiles of the engine split this M, so the check covers several tiles.
     qs = mg.QuantileState(np.sort(rng.normal(0.0, 1.0, (2, 300)), axis=1), params)
     ps = particles_from_quantile(qs)
-    v = rhs(qs, pm)
-    for i, vp in enumerate(particle_rhs(ps, pm)):
-        assert np.array_equal(vp[:, 0], v[i])
-    assert discrete_energy(ps, pm) == mg.energy(qs, pm)
+    for vq, vp in zip(velocity(qs, pm), velocity(ps, pm)):
+        assert np.array_equal(vp, vq)
+    assert mg.energy(ps, pm) == mg.energy(qs, pm)
 
 
 def test_particle_fields_are_tiled_like_one_block():

@@ -1,7 +1,7 @@
 """Closed-form moment sums for quadratic kernels, checked against the direct sum.
 
-Every pairwise sum (quantile velocity, force field, energy, particle
-velocities, discrete energy) evaluates Quadratic entries by moments.  The
+Every pairwise sum (quantile and particle velocities, force fields and
+energies) evaluates Quadratic entries by moments.  The
 oracle is the same routine on a copy of the matrix whose quadratic entries
 are a plain ScalarPotential with the same formula, which takes the direct
 O(N^2) sum that every non-quadratic kernel uses.
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import multiagg as mg
-from multiagg import diagnostics, particle_solver, quantile_solver
-from multiagg.potentials import PotentialMatrix, ScalarPotential
+from multiagg import diagnostics, quantile_solver
+from multiagg.potentials import PotentialMatrix, ScalarPotential, pair_fields
 
 TABULATED = mg.Tabulated(knots=(0.0, 1.0, 2.0), values=(0.0, 0.4, 1.9), derivs=(0.0, 1.0, 2.0))
 OTHER_KINDS = (
@@ -104,7 +104,7 @@ def test_quantile_sums_match_direct(n, mixed, offset):
     m = qs.params.m
     assert_oracle_close(quantile_solver._velocity(*qs.clouds(), pm, m),
                         quantile_solver._velocity(*qs.clouds(), oracle, m))
-    assert_oracle_close(diagnostics.force_field(qs, pm), diagnostics.force_field(qs, oracle))
+    assert_oracle_close(pair_fields(pm, *qs.clouds()), pair_fields(oracle, *qs.clouds()))
     assert_oracle_close(diagnostics.energy(qs, pm), diagnostics.energy(qs, oracle))
 
 
@@ -119,8 +119,7 @@ def test_particle_sums_match_direct(n, mixed, offset, d):
     direct = quantile_solver._velocity(ps.positions, ps.masses, oracle, ps.params.m)
     for a, b in zip(fast, direct):
         assert_oracle_close(a, b)
-    assert_oracle_close(particle_solver.discrete_energy(ps, pm),
-                        particle_solver.discrete_energy(ps, oracle))
+    assert_oracle_close(diagnostics.energy(ps, pm), diagnostics.energy(ps, oracle))
 
 
 class _NoPointwise(mg.Quadratic):
@@ -139,11 +138,11 @@ def test_quadratic_entries_never_evaluated_pointwise():
                                  [None, _NoPointwise(1.0)]], kappa=np.zeros((2, 2)))
     qs = quantile_state(rng, 2, 16, 0.0)
     quantile_solver._velocity(*qs.clouds(), pm, qs.params.m)
-    diagnostics.force_field(qs, pm)
+    pair_fields(pm, *qs.clouds())
     diagnostics.energy(qs, pm)
     ps = particle_state(rng, 2, 2, 0.0)
     quantile_solver._velocity(ps.positions, ps.masses, pm, ps.params.m)
-    particle_solver.discrete_energy(ps, pm)
+    diagnostics.energy(ps, pm)
 
 
 def test_energy_is_plain_float():

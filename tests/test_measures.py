@@ -3,9 +3,8 @@ import pytest
 
 import multiagg as mg
 from multiagg.measures import (cell_midpoints, compound_distance, particles_from_quantile,
-                               quantile_from_particles, read_quantile_csv, second_moments,
-                               w1_distance, weighted_center_of_mass, winf_distance,
-                               write_quantile_csv)
+                               quantile_from_particles, read_quantile_csv,
+                               weighted_center_of_mass, winf_distance, write_quantile_csv)
 
 
 def sp(m, p, E=0.0, d=1):
@@ -138,14 +137,13 @@ def test_metric_axioms_on_random_triples():
         assert dab <= compound_distance(a, c) + compound_distance(c, b) + 1e-12
 
 
-def test_w1_winf_worked_examples():
+def test_winf_worked_examples():
     params = sp([1.0], [1.0])
     a = mg.QuantileState(np.zeros((1, 4)), params)
-    assert w1_distance(a, a, 0) == 0.0 and winf_distance(a, a, 0) == 0.0
+    assert winf_distance(a, a, 0) == 0.0
     b = mg.QuantileState(np.full((1, 4), 2.0), params)
-    assert w1_distance(a, b, 0) == 2.0 and winf_distance(a, b, 0) == 2.0
+    assert winf_distance(a, b, 0) == 2.0
     c = mg.QuantileState(np.array([[0.0, 0.0, 0.0, 1.0]]), params)
-    assert w1_distance(a, c, 0) == 0.25
     assert winf_distance(a, c, 0) == 1.0
 
 
@@ -157,19 +155,16 @@ def test_distance_order_relations():
         b = mg.QuantileState(np.sort(rng.normal(size=(2, 8)), axis=1), params)
         for i in range(2):
             p_i = params.p[i]
-            w1 = w1_distance(a, b, i)
             winf = winf_distance(a, b, i)
-            assert winf >= w1 / p_i - 1e-12
             # mass-weighted sup bound dominates each species' squared cost
             term = (p_i / a.M) * np.sum((a.u[i] - b.u[i]) ** 2) / params.m[i]
             assert p_i * winf ** 2 >= params.m[i] * term - 1e-12
 
 
-def test_centers_and_moments():
+def test_centers_worked_examples():
     params = sp([1.0], [1.0], E=5.0)
     qs = mg.QuantileState(np.full((1, 8), 5.0), params)
     assert weighted_center_of_mass(qs) == 5.0
-    assert second_moments(qs).tolist() == [25.0]
 
     params2 = sp([1.0, 2.0], [2.0, 2.0], E=5.0)
     qs2 = mg.QuantileState(np.vstack([np.full(8, 1.0), np.full(8, 3.0)]), params2)

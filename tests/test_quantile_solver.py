@@ -4,7 +4,7 @@ import pytest
 import multiagg as mg
 from multiagg import quantile_solver
 from multiagg.measures import cell_midpoints
-from multiagg.quantile_solver import SolverConfig, rhs, run, stable_dt, step
+from multiagg.quantile_solver import SolverConfig, run, stable_dt, step, velocity
 
 
 def sp(m, p, E=0.0):
@@ -16,12 +16,12 @@ def single_quadratic(kappa=1.0, m=1.0, p=1.0):
     return pm, sp([m], [p])
 
 
-def test_rhs_single_species_quadratic_closed_form():
+def test_velocity_single_species_quadratic_closed_form():
     pm, params = single_quadratic(kappa=1.3, m=0.7, p=2.0)
     rng = np.random.default_rng(0)
     u = np.sort(rng.normal(size=(1, 32)), axis=1)
     qs = mg.QuantileState(u, sp([0.7], [2.0], E=float(2.0 / 0.7 * u.mean())))
-    v = rhs(qs, pm)
+    v = np.stack(velocity(qs, pm))[:, :, 0]
     # direct-summation oracle
     oracle = np.empty_like(u)
     for k in range(32):
@@ -33,13 +33,13 @@ def test_rhs_single_species_quadratic_closed_form():
 @pytest.mark.parametrize("pot", [mg.Quadratic(2.0), mg.GaussianAR(1.0, 1.0, 0.5, 2.0),
                                  mg.DoubleWell(1.0, 1.0),
                                  mg.Morse(1.0, 1.0, 0.5, 2.0, eps=0.3)])
-def test_rhs_dirac_is_steady(pot):
+def test_velocity_dirac_is_steady(pot):
     pm = mg.matrix_from_entries([[pot]], kappa=[[0.0]])
     qs = mg.QuantileState(np.full((1, 8), 1.7), sp([1.0], [1.0], E=1.7))
-    assert np.all(rhs(qs, pm) == 0.0)
+    assert np.all(velocity(qs, pm)[0] == 0.0)
 
 
-def test_rhs_two_species_cross_only():
+def test_velocity_two_species_cross_only():
     a = 0.8
     w12 = mg.GaussianAR(1.0, 1.0, 0.0, 1.0)
     pm = mg.matrix_from_entries([[mg.Zero(), w12], [None, mg.Zero()]],
@@ -47,19 +47,19 @@ def test_rhs_two_species_cross_only():
     params = mg.SystemParams(m=[1.5, 0.5], p=[2.0, 3.0], E=[a * 3.0 / 0.5])
     u = np.vstack([np.zeros(8), np.full(8, a)])
     qs = mg.QuantileState(u, params)
-    v = rhs(qs, pm)
+    v = velocity(qs, pm)
     g = w12.deriv(a)
     assert np.allclose(v[0], 1.5 * 3.0 * g, rtol=1e-14)
     assert np.allclose(v[1], -0.5 * 2.0 * g, rtol=1e-14)
 
 
-def test_rhs_nonfinite_raises_with_witness():
+def test_velocity_nonfinite_raises_with_witness():
     pm = mg.matrix_from_entries([[mg.Power(q=8.0, a=1e300)]], kappa=[[0.0]])
     u = np.array([[-40.0, 0.0, 40.0]])
     qs = mg.QuantileState(u, sp([1.0], [1.0]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mg.NumericsError) as exc:
-            rhs(qs, pm)
+            velocity(qs, pm)
     assert {"i", "j", "k", "l"} <= set(exc.value.witness)
 
 
@@ -112,7 +112,7 @@ def test_step_reports_and_repairs_crossings():
     u = np.array([[0.0, 2.4, 2.6]])
     params = sp([1.0], [1.0], E=u.mean())
     qs = mg.QuantileState(u, params)
-    v = rhs(qs, pm)[0]
+    v = velocity(qs, pm)[0][:, 0]
     gaps = np.diff(u[0])
     closing = np.diff(v)
     k = int(np.argmin(closing))

@@ -65,8 +65,8 @@ def test_euler_run_evaluates_the_engine_s_plus_1_times(monkeypatch):
 def test_particle_run_evaluates_the_engine_4s_plus_1_times(monkeypatch):
     qs, pm = two_species()
     calls = count_engine_passes(monkeypatch)
-    mg.run_particles(particles_from_quantile(qs), pm,
-                     SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="rk4", record_every=1))
+    mg.run(particles_from_quantile(qs), pm,
+           SolverConfig(dt=0.01, t_end=STEPS * 0.01, scheme="rk4", record_every=1))
     assert calls[0] == 4 * STEPS + 1
 
 
@@ -79,7 +79,7 @@ def test_recorded_energy_is_the_energy_of_the_recorded_state(d):
                           [np.full(24, 1.0 / 24.0), np.full(24, 1.3 / 24.0)],
                           mg.SystemParams(m=[1.0, 0.7], p=[1.0, 1.3], E=[0.0] * d, d=d))
     cfg = SolverConfig(dt=0.01, t_end=5 * 0.01, scheme="rk4", record_every=2)
-    traj = mg.run_particles(ps, pm, cfg)
+    traj = mg.run(ps, pm, cfg)
     assert traj.energies == [mg.energy(state, pm) for state in traj.states]
 
 
@@ -121,7 +121,7 @@ def test_particle_blowup_names_the_pair(scheme):
     cfg = SolverConfig(dt=0.5, t_end=5.0, scheme=scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mg.NumericsError) as exc:
-            mg.run_particles(particles_from_quantile(qs), pm, cfg)
+            mg.run(particles_from_quantile(qs), pm, cfg)
     assert exc.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
     assert exc.value.partial.times[0] == 0.0
 
@@ -135,9 +135,9 @@ def test_particle_blowup_in_the_plane_names_the_pair(scheme):
     cfg = SolverConfig(dt=0.5, t_end=5.0, scheme=scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mg.NumericsError) as line:
-            mg.run_particles(particles_from_quantile(qs), pm, cfg)
+            mg.run(particles_from_quantile(qs), pm, cfg)
         with pytest.raises(mg.NumericsError) as plane:
-            mg.run_particles(ps, pm, cfg)
+            mg.run(ps, pm, cfg)
     assert plane.value.witness == {"i": 0, "j": 0, "k": 0, "l": 1}
     assert plane.value.partial.times == line.value.partial.times
 
