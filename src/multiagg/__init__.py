@@ -19,7 +19,7 @@ tracking and decay-rate fits.
 __version__ = "0.1.0"
 
 from .convexity import (ConvexityReport, SystemParams, analyze_system, confining_check,
-                        irreducible, lambda0, lambda0_scalar, necessary_condition)
+                        irreducible, lambda0, necessary_condition)
 from .diagnostics import (DiagnosticsRecord, RateFit, dissipation, energy, fit_decay_rate,
                           ground_state, steady_state_check, support_and_diameter)
 from .errors import ConfigError, NumericsError
@@ -27,9 +27,8 @@ from .measures import (ParticleState, QuantileState, compound_distance, equal_ma
                        particles_from_quantile, quantile_from_particles,
                        weighted_center_of_mass, winf_distance)
 from .potentials import (ConfiningSpec, DoubleWell, GaussianAR, Morse, PotentialMatrix,
-                         Power, Quadratic, Tabulated, Zero, estimate_gradient_lipschitz,
-                         estimate_growth_bound, estimate_semiconvexity, matrix_from_entries,
-                         validate)
+                         Power, Quadratic, Tabulated, Zero, estimate_growth_bound,
+                         matrix_from_entries, validate)
 from .quantile_solver import SolverConfig, Trajectory, run, stable_dt, step, velocity
 
 __all__ = [
@@ -37,9 +36,8 @@ __all__ = [
     "GaussianAR", "Morse", "NumericsError", "ParticleState", "PotentialMatrix", "Power",
     "Quadratic", "QuantileState", "RateFit", "SolverConfig", "SystemParams", "Tabulated",
     "Trajectory", "Zero", "analyze_system", "compound_distance", "confining_check",
-    "dissipation", "energy", "equal_mass_particles", "estimate_gradient_lipschitz",
-    "estimate_growth_bound", "estimate_semiconvexity", "fit_decay_rate", "ground_state",
-    "irreducible", "lambda0", "lambda0_scalar", "matrix_from_entries", "necessary_condition",
+    "dissipation", "energy", "equal_mass_particles", "estimate_growth_bound", "fit_decay_rate",
+    "ground_state", "irreducible", "lambda0", "matrix_from_entries", "necessary_condition",
     "particles_from_quantile", "quantile_from_particles", "run", "stable_dt",
     "steady_state_check", "step", "support_and_diameter", "validate", "velocity",
     "weighted_center_of_mass", "winf_distance",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diagnostics, measures, quantile_solver, verify as verify_mod
 from .config import manifest, parse_config, write_manifest
-from .convexity import analyze_system, modulus
+from .convexity import analyze_system, lambda0
 from .errors import ConfigError, NumericsError
 
 
@@ -60,11 +60,9 @@ def _write_quantile_diag_csv(path, records, n):
     measures.write_csv(path, header, [columns])
 
 
-def _write_particle_diag_csv(path, traj, params):
-    d = params.d
+def _write_particle_diag_csv(path, traj, d):
     header = ["t", "energy"] + [f"E_invariant_{a + 1}" for a in range(d)]
-    centers = np.reshape([measures.weighted_center_of_mass(s) for s in traj.states],
-                         (len(traj.states), d))
+    centers = np.reshape([r.E_invariant for r in traj.records], (len(traj.records), d))
     measures.write_csv(path, header, [[measures.float_fields(traj.times),
                                        measures.float_fields(traj.energies)]
                                       + [measures.float_fields(v) for v in centers.T]])
@@ -117,7 +115,7 @@ def _cmd_particles(args) -> int:
 
     def write(traj):
         measures.write_particle_csv(args.out, traj.times, traj.states)
-        _write_particle_diag_csv(_diag_path(args.out), traj, cfg.params)
+        _write_particle_diag_csv(_diag_path(args.out), traj, cfg.params.d)
         write_manifest(args.out, cfg, "particles", traj.dt)
 
     return _run_and_write(lambda: quantile_solver.run(ps0, cfg.potential, cfg.solver), write)
@@ -129,7 +127,7 @@ def _cmd_diagnose(args) -> int:
         times, states = measures.read_quantile_csv(args.traj, cfg.params)
     except ValueError as err:
         raise ConfigError(f"traj: {err}") from err
-    rate = modulus(cfg.potential.kappa, cfg.params)
+    rate = lambda0(cfg.potential.kappa, cfg.params).lambda0
     ground = diagnostics.ground_state(cfg.params, states[0].M) if rate > 0.0 else None
     records = [diagnostics.record(qs, cfg.potential, t, ground)
                for t, qs in zip(times, states)]

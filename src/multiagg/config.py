@@ -41,6 +41,17 @@ KERNEL_KINDS = {
     "tabulated": Tabulated,
 }
 
+# The fields each config object may hold; any other key is a config error.
+SECTIONS = ("params", "potential", "initial", "solver", "M", "seed")
+PARAMS_FIELDS = ("m", "p", "n", "d", "E")
+POTENTIAL_FIELDS = ("entries", "kappa", "growth", "confining")
+CONFINING_FIELDS = ("R", "C")
+INITIAL_FIELDS = {"particles": ("type", "species"), "quantile_grid": ("type", "values"),
+                  "preset": ("type", "name", "args")}
+SPECIES_FIELDS = ("x", "mass")
+PRESET_ARGS = {"two_diracs": ("positions",), "uniform": ("lo", "hi"),
+               "gauss_pair": ("centers", "sigma", "weights")}
+
 
 @dataclass
 class ExperimentConfig:
@@ -64,6 +75,12 @@ def _is_number(raw) -> bool:
         return False
 
 
+def _unknown_fields(raw: dict, path: str, allowed) -> list:
+    """The issue naming the keys of ``raw`` outside ``allowed``, if there are any."""
+    extra = sorted(set(raw) - set(allowed))
+    return [f"{path}: unknown fields {extra} (expected {sorted(allowed)})"] if extra else []
+
+
 def potential_from_dict(d: dict, path: str) -> ScalarPotential:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{path}: expected an object with a 'kind' field")
@@ -76,9 +93,9 @@ def potential_from_dict(d: dict, path: str) -> ScalarPotential:
     missing = [name for name in names if name not in d]
     if missing:
         raise ConfigError(f"{path}: kind {kind!r} requires fields {names}, missing {missing}")
-    extra = set(d) - set(names) - {"kind"}
-    if extra:
-        raise ConfigError(f"{path}: unknown fields {sorted(extra)} for kind {kind!r}")
+    unknown = _unknown_fields(d, path, ["kind", *names])
+    if unknown:
+        raise ConfigError(unknown)
     for f in fields:
         value = d[f.name]
         if f.type in (tuple, "tuple"):
@@ -134,6 +151,7 @@ def _potential_matrix(raw, n, issues) -> Optional[PotentialMatrix]:
     if not isinstance(raw, dict):
         issues.append("potential: expected an object with 'entries' and 'kappa'")
         return None
+    issues += _unknown_fields(raw, "potential", POTENTIAL_FIELDS)
     entries_raw = raw.get("entries")
     if (not isinstance(entries_raw, list) or len(entries_raw) != n
             or any(not isinstance(r, list) or len(r) != n for r in entries_raw)):
@@ -149,12 +167,6 @@ def _potential_matrix(raw, n, issues) -> Optional[PotentialMatrix]:
                 issues.extend(err.issues)
     if any(e is None for row in entries for e in row):
         return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if entries[i][j] != entries[j][i]:
-                issues.append(f"potential.entries: entries[{i}][{j}] != entries[{j}][{i}] "
-                              "(interaction kernels must be symmetric)")
-                return None
     kappa = _matrix(raw.get("kappa"), "potential.kappa", issues, n)
     growth = None
     if "growth" in raw:
@@ -165,18 +177,26 @@ def _potential_matrix(raw, n, issues) -> Optional[PotentialMatrix]:
         if not isinstance(spec, dict) or "R" not in spec or "C" not in spec:
             issues.append("potential.confining: expected an object with 'R' and 'C'")
         else:
+            issues += _unknown_fields(spec, "potential.confining", CONFINING_FIELDS)
             radius = _number(spec["R"], "potential.confining.R", issues, positive=True)
             cmat = _matrix(spec["C"], "potential.confining.C", issues, n)
             if radius is not None and cmat is not None:
                 confining = ConfiningSpec(radius, cmat)
     if kappa is None:
         return None
-    return PotentialMatrix(tuple(tuple(row) for row in entries), kappa, growth, confining)
+    try:
+        return PotentialMatrix(tuple(tuple(row) for row in entries), kappa, growth, confining)
+    except ValueError as err:  # W_ij != W_ji; every other part is checked above
+        issues.append(f"potential.entries: {err}")
+        return None
 
 
 def _build_preset(name: str, args: dict, n: int, M: int, rng) -> np.ndarray:
+    if not isinstance(name, str) or name not in PRESET_ARGS:
+        raise ConfigError(f"initial.name: unknown preset {name!r} "
+                          "(expected two_diracs, uniform or gauss_pair)")
     z = measures.cell_midpoints(M)
-    issues: list = []
+    issues = _unknown_fields(args, "initial.args", PRESET_ARGS[name])
     if name == "two_diracs":
         positions = _vector(args.get("positions"), "initial.args.positions", issues, length=n)
         if issues:
@@ -200,25 +220,23 @@ def _build_preset(name: str, args: dict, n: int, M: int, rng) -> np.ndarray:
                 raise ConfigError(f"initial.args: species {i} needs lo < hi")
             u[i] = lo[i] + (hi[i] - lo[i]) * z
         return u
-    if name == "gauss_pair":
-        centers = _vector(args.get("centers", [-1.0, 1.0]), "initial.args.centers", issues,
-                          length=2)
-        sigma = _number(args.get("sigma", 0.25), "initial.args.sigma", issues)
-        weights = _vector(args.get("weights", [0.5, 0.5]), "initial.args.weights", issues,
-                          length=2)
-        if weights is not None and not (min(weights) >= 0.0 and sum(weights) > 0.0):
-            issues.append("initial.args.weights: expected non-negative weights with a "
-                          "positive sum")
-        if issues:
-            raise ConfigError(issues)
-        u = np.empty((n, M))
-        for i in range(n):
-            which = rng.random(M) < weights[0] / (weights[0] + weights[1])
-            samples = np.where(which, centers[0], centers[1]) + sigma * rng.standard_normal(M)
-            u[i] = np.sort(samples)
-        return u
-    raise ConfigError(f"initial.name: unknown preset {name!r} "
-                      "(expected two_diracs, uniform or gauss_pair)")
+    # gauss_pair
+    centers = _vector(args.get("centers", [-1.0, 1.0]), "initial.args.centers", issues,
+                      length=2)
+    sigma = _number(args.get("sigma", 0.25), "initial.args.sigma", issues)
+    weights = _vector(args.get("weights", [0.5, 0.5]), "initial.args.weights", issues,
+                      length=2)
+    if weights is not None and not (min(weights) >= 0.0 and sum(weights) > 0.0):
+        issues.append("initial.args.weights: expected non-negative weights with a "
+                      "positive sum")
+    if issues:
+        raise ConfigError(issues)
+    u = np.empty((n, M))
+    for i in range(n):
+        which = rng.random(M) < weights[0] / (weights[0] + weights[1])
+        samples = np.where(which, centers[0], centers[1]) + sigma * rng.standard_normal(M)
+        u[i] = np.sort(samples)
+    return u
 
 
 def _build_initial(raw_initial, params: SystemParams, M: int, seed: int):
@@ -226,12 +244,22 @@ def _build_initial(raw_initial, params: SystemParams, M: int, seed: int):
     if not isinstance(raw_initial, dict):
         raise ConfigError("initial: expected an object with a 'type' field")
     itype = raw_initial.get("type")
+    if not isinstance(itype, str) or itype not in INITIAL_FIELDS:
+        raise ConfigError("initial.type: expected particles, quantile_grid or preset, "
+                          f"got {itype!r}")
+    issues = _unknown_fields(raw_initial, "initial", INITIAL_FIELDS[itype])
+    species = raw_initial.get("species")
     if itype == "particles":
-        species = raw_initial.get("species")
         if not isinstance(species, list) or any(
                 not isinstance(s, dict) or "x" not in s or "mass" not in s for s in species):
-            raise ConfigError(f"initial.species: expected a list of {params.n} objects "
-                              "with 'x' and 'mass'")
+            issues.append(f"initial.species: expected a list of {params.n} objects "
+                          "with 'x' and 'mass'")
+        else:
+            for k, s in enumerate(species):
+                issues += _unknown_fields(s, f"initial.species[{k}]", SPECIES_FIELDS)
+    if issues:
+        raise ConfigError(issues)
+    if itype == "particles":
         return ParticleState([s["x"] for s in species], [s["mass"] for s in species], params)
     if itype == "quantile_grid":
         state = QuantileState(raw_initial.get("values"), params)
@@ -239,14 +267,12 @@ def _build_initial(raw_initial, params: SystemParams, M: int, seed: int):
             if np.any(np.diff(row) < 0.0):
                 raise ConfigError(f"initial.values[{i}]: quantile values must be non-decreasing")
         return state
-    if itype == "preset":
-        args = raw_initial.get("args", {})
-        if not isinstance(args, dict):
-            raise ConfigError("initial.args: expected an object")
-        rng = np.random.default_rng(seed)
-        u = _build_preset(raw_initial.get("name", ""), args, params.n, M, rng)
-        return QuantileState(u, params)
-    raise ConfigError(f"initial.type: expected particles, quantile_grid or preset, got {itype!r}")
+    args = raw_initial.get("args", {})
+    if not isinstance(args, dict):
+        raise ConfigError("initial.args: expected an object")
+    rng = np.random.default_rng(seed)
+    u = _build_preset(raw_initial.get("name", ""), args, params.n, M, rng)
+    return QuantileState(u, params)
 
 
 def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[float] = None,
@@ -254,11 +280,7 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
     """Validate and build a config from parsed JSON; flags override file values."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    issues: list = []
-    known = {"params", "potential", "initial", "solver", "M", "seed"}
-    for key in raw:
-        if key not in known:
-            issues.append(f"{key}: unknown section (expected one of {sorted(known)})")
+    issues = _unknown_fields(raw, "config", SECTIONS)
 
     params_raw = raw.get("params")
     m = p = None
@@ -267,6 +289,7 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
     if not isinstance(params_raw, dict):
         issues.append("params: expected an object with 'm' and 'p'")
     else:
+        issues += _unknown_fields(params_raw, "params", PARAMS_FIELDS)
         m = _vector(params_raw.get("m"), "params.m", issues)
         if m == []:
             issues.append("params.m: expected at least one species")
@@ -316,9 +339,7 @@ def config_from_dict(raw: dict, dt: Optional[float] = None, t_end: Optional[floa
         issues.append("solver: expected an object")
     else:
         allowed = {f.name for f in dataclasses.fields(SolverConfig)}
-        unknown = set(solver_raw) - allowed
-        if unknown:
-            issues.append(f"solver: unknown fields {sorted(unknown)} (expected {sorted(allowed)})")
+        issues += _unknown_fields(solver_raw, "solver", allowed)
         kwargs = dict(solver_raw)
         if dt is not None:
             kwargs["dt"] = dt

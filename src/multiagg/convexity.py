@@ -1,7 +1,8 @@
 """Convexity moduli of the interaction energy in the compound transport metric.
 
 Pure arithmetic on the declared semiconvexity matrix, the mobilities and the
-total masses: the global modulus ``lambda0``, the per-species auxiliary
+total masses: the global modulus ``lambda0`` for any number of species (one
+branch on the species count, in ``_modulus``), its per-species auxiliary
 weights ``eta``, the necessary positivity condition, graph irreducibility of
 the interaction network, and the tail-convexity (confinement) modulus.
 """
@@ -72,10 +73,14 @@ class ConvexityReport:
     confining: Optional[ConfiningReport] = None
 
 
-def _modulus(kmat: np.ndarray, m: np.ndarray, p: np.ndarray,
-             eta_weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """The min-formula modulus with eta_i = min_{j != i} kmat[i,j] * eta_weights[j]."""
+def _modulus(kmat: np.ndarray, params: SystemParams,
+             eta_weights: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """The modulus built from ``kmat``: m kmat p for one species (no eta), else the
+    min-formula with eta_i = min_{j != i} kmat[i,j] * eta_weights[j]."""
+    m, p = params.m, params.p
     n = len(m)
+    if n == 1:
+        return float(m[0] * kmat[0, 0] * p[0]), None
     eta = np.empty(n)
     for i in range(n):
         others = [kmat[i, j] * eta_weights[j] for j in range(n) if j != i]
@@ -99,39 +104,23 @@ def _check_square_symmetric(kappa: np.ndarray, n: int, name: str = "kappa") -> n
 @dataclass
 class Lambda0Result:
     lambda0: float
-    eta: np.ndarray
+    eta: Optional[np.ndarray]  # None for a single species
 
 
 def lambda0(kappa, params: SystemParams) -> Lambda0Result:
-    """Geodesic-convexity modulus of the interaction energy for n > 1 species.
+    """Geodesic-convexity modulus of the interaction energy; the flow contracts at this rate.
 
-    eta_i = min_{j != i} kappa_ij m_j, and
+    For a single species it is McCann's m kappa p (the center is fixed).  For
+    n > 1 species, eta_i = min_{j != i} kappa_ij m_j, and
 
       lambda0 = min_i [ p_i min(0, m_i kappa_ii - eta_i)
                         + (1/2) sum_j p_j (eta_j + eta_i m_i / m_j) ].
 
     The energy is lambda-convex along generalized geodesics for every
-    lambda <= lambda0; the flow contracts at rate lambda0.
+    lambda <= lambda0.
     """
-    if params.n < 2:
-        raise ValueError("lambda0 requires n > 1; use lambda0_scalar for a single species")
     kappa = _check_square_symmetric(kappa, params.n)
-    value, eta = _modulus(kappa, params.m, params.p, eta_weights=params.m)
-    return Lambda0Result(value, eta)
-
-
-def lambda0_scalar(kappa: float, params: SystemParams) -> float:
-    """Single-species modulus m * kappa * p (McCann's condition with fixed center)."""
-    if params.n != 1:
-        raise ValueError("lambda0_scalar requires n == 1")
-    return float(params.m[0] * kappa * params.p[0])
-
-
-def modulus(kappa, params: SystemParams) -> float:
-    """Contraction rate of the flow: ``lambda0`` for n > 1, ``lambda0_scalar`` for n = 1."""
-    if params.n > 1:
-        return lambda0(kappa, params).lambda0
-    return lambda0_scalar(float(kappa[0][0]), params)
+    return Lambda0Result(*_modulus(kappa, params, eta_weights=params.m))
 
 
 def necessary_condition(kappa, params: SystemParams) -> np.ndarray:
@@ -145,8 +134,6 @@ def necessary_condition(kappa, params: SystemParams) -> np.ndarray:
 
 
 def _connected(n: int, has_edge) -> bool:
-    if n == 1:
-        return True
     seen = {0}
     queue = deque([0])
     while queue:
@@ -171,21 +158,17 @@ def irreducible_at_distance(pm: PotentialMatrix, radius: float) -> bool:
 def confining_check(pm: PotentialMatrix, params: SystemParams) -> ConfiningReport:
     """Evaluate the declared tail convexity: is the potential confining?
 
-    Uses the declared matrix C of convexity moduli on (radius, inf).  For a
-    single species the verdict is C > 0.  For n > 1 the modulus is the same
-    min-formula as ``lambda0`` except that the auxiliary weights use the
-    masses: eta_tilde_i = min_{j != i} C_ij p_j (as defined, not m_j).  The
-    verdict additionally requires connectivity of the far-field interaction
-    graph.
+    Uses the declared matrix C of convexity moduli on (radius, inf) in the
+    same modulus as ``lambda0``, except that for n > 1 the auxiliary weights
+    use the masses: eta_tilde_i = min_{j != i} C_ij p_j (as defined, not m_j).
+    The verdict requires a positive modulus and connectivity of the far-field
+    interaction graph (always connected for a single species).
     """
     if pm.confining is None:
         raise ValueError("potential matrix declares no confining spec (radius, tail matrix)")
     spec = pm.confining
     c = _check_square_symmetric(spec.tail_kappa, params.n, name="tail matrix")
-    if params.n == 1:
-        value = lambda0_scalar(float(c[0, 0]), params)
-        return ConfiningReport(value, None, True, bool(c[0, 0] > 0.0))
-    value, eta_tilde = _modulus(c, params.m, params.p, eta_weights=params.p)
+    value, eta_tilde = _modulus(c, params, eta_weights=params.p)
     tail_connected = irreducible_at_distance(pm, spec.radius)
     return ConfiningReport(value, eta_tilde, tail_connected, bool(value > 0.0 and tail_connected))
 
@@ -194,9 +177,10 @@ def analyze_system(pm: PotentialMatrix, params: SystemParams) -> ConvexityReport
     """Full convexity report: modulus, necessary flags, irreducibility, confinement."""
     if params.n != pm.n:
         raise ValueError(f"params are for n={params.n} species but matrix has n={pm.n}")
+    modulus = lambda0(pm.kappa, params)
     report = ConvexityReport(
-        lambda0=modulus(pm.kappa, params),
-        eta=lambda0(pm.kappa, params).eta if params.n > 1 else None,
+        lambda0=modulus.lambda0,
+        eta=modulus.eta,
         necessary_ok=necessary_condition(pm.kappa, params),
         irreducible=irreducible(pm),
     )

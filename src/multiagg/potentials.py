@@ -744,9 +744,9 @@ class PotentialMatrix:
     numerically.  ``growth`` optionally declares constants g_ij with
     |W_ij(z)| <= g_ij (1 + z^2).
 
-    Entry symmetry (W_ij == W_ji) is expected but deliberately not enforced
-    here, so that ``validate`` can report it on hand-built matrices; ``kappa``
-    asymmetry is rejected outright because every downstream formula assumes it.
+    Entry symmetry (W_ij == W_ji, compared with ``==``) and ``kappa``
+    symmetry are rejected outright: the pair sums read the upper triangle only,
+    while the step bound and the checks read both.
     Instances are immutable in practice and safe for concurrent reads.
     """
 
@@ -765,6 +765,11 @@ class PotentialMatrix:
             for pot in row:
                 if not isinstance(pot, ScalarPotential):
                     raise TypeError(f"matrix entries must be ScalarPotential, got {type(pot)!r}")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if entries[i][j] != entries[j][i]:
+                    raise ValueError(f"entries[{i}][{j}] != entries[{j}][{i}] "
+                                     "(interaction kernels must be symmetric)")
         self.kappa = np.asarray(self.kappa, dtype=float)
         if self.kappa.shape != (n, n):
             raise ValueError(f"kappa must be {n}x{n}, got shape {self.kappa.shape}")
@@ -851,31 +856,11 @@ def _sample_grid(interval, samples: int) -> tuple[np.ndarray, float]:
     return z, z[1] - z[0]
 
 
-def estimate_semiconvexity(pot: ScalarPotential, interval, samples: int) -> float:
-    """Smallest second difference of the kernel on a uniform grid.
-
-    For a kernel that is kappa-convex the sampled second differences are
-    >= kappa (up to roundoff), so the estimate never understates a valid
-    declared modulus.
-    """
-    z, h = _sample_grid(interval, samples)
-    w = pot.value(z)
-    d2 = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-    return float(d2.min())
-
-
 def estimate_growth_bound(pot: ScalarPotential, interval, samples: int = 1001) -> float:
     """Smallest sampled constant c with |W'(z)| <= c (|z| + 1) on the interval."""
     z, _ = _sample_grid(interval, samples)
     ratio = np.abs(pot.deriv(z)) / (np.abs(z) + 1.0)
     return float(ratio.max())
-
-
-def estimate_gradient_lipschitz(pot: ScalarPotential, interval, samples: int = 1001) -> float:
-    """Largest sampled difference quotient of W' (a Lipschitz constant estimate)."""
-    z, h = _sample_grid(interval, samples)
-    g = pot.deriv(z)
-    return float(np.abs(np.diff(g)).max() / h)
 
 
 @dataclass
@@ -905,9 +890,10 @@ class ValidationReport:
 def validate(pm: PotentialMatrix, interval=(-10.0, 10.0), samples: int = 1001) -> ValidationReport:
     """Check the structural assumptions of the kernel matrix on a sample grid.
 
-    Checks per entry: symmetry of the grid (structural), bit-exact evenness,
-    oddness of the derivative, derivative vanishing at the origin, declared
-    quadratic growth, and declared semiconvexity.  Violations are report
+    Checks per entry of the upper triangle (the grid is symmetric by
+    construction): bit-exact evenness, oddness of the derivative, derivative
+    vanishing at the origin, declared quadratic growth, and declared
+    semiconvexity.  Violations are report
     entries, never exceptions.  An overstated kappa declaration is reported
     as a warning since a smaller declared modulus would still be valid.
     """
@@ -918,10 +904,6 @@ def validate(pm: PotentialMatrix, interval=(-10.0, 10.0), samples: int = 1001) -
     for i in range(n):
         for j in range(i, n):
             pot = pm.entries[i][j]
-            if pm.entries[j][i] != pot:
-                violations.append(ValidationIssue(
-                    "W1", i, j, None,
-                    f"entries[{i}][{j}] != entries[{j}][{i}]"))
             w_pos = pot.value(z)
             w_neg = pot.value(-z)
             if not np.array_equal(w_pos, w_neg):

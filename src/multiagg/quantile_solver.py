@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .convexity import modulus
+from .convexity import lambda0
 from .errors import NumericsError
 from .measures import QuantileState
 from .potentials import (_TILE, PotentialMatrix, _grad_block, _tile_cols, _tile_rows,
@@ -254,7 +254,7 @@ def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     the concentrated state whenever the convexity modulus is positive.
     """
     traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(state0, pm, cfg))
-    positive = modulus(pm.kappa, state0.params) > 0.0
+    positive = lambda0(pm.kappa, state0.params).lambda0 > 0.0
     ground = diagnostics.concentrated(state0) if positive else None
     xs, ws = state0.clouds()
     xs, m = list(xs), state0.params.m

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, measures, quantile_solver
 from .config import ExperimentConfig
-from .convexity import confining_check, modulus
+from .convexity import confining_check, lambda0
 from .errors import NumericsError
 
 
@@ -69,7 +69,7 @@ def run_verification(cfg: ExperimentConfig) -> VerificationReport:
                              f"integration failed: {err} (witness {err.witness})")
         return VerificationReport([failed], err.partial.dt if err.partial is not None else None)
 
-    rate = modulus(cfg.potential.kappa, cfg.params)
+    rate = lambda0(cfg.potential.kappa, cfg.params).lambda0
     checks = [_center_conservation(cfg, traj), _contraction(cfg, traj, rate),
               _dissipation_identity(traj), _ground_state(cfg, traj, rate),
               _gradient_consistency(cfg)]

@@ -168,6 +168,25 @@ MALFORMED = {
                                     "args": {"lo": True, "hi": 2.0}}),
     "uniform_string_hi": ("initial", {"type": "preset", "name": "uniform",
                                       "args": {"lo": 0.0, "hi": "2.0"}}),
+    "asymmetric_entries": ("potential", dict(pair_config()["potential"], entries=[
+        [{"kind": "quadratic", "a": 2.0}, {"kind": "quadratic", "a": 1.0}],
+        [{"kind": "quadratic", "a": 0.5}, {"kind": "quadratic", "a": 2.0}]])),
+    # Misspelt or unknown keys: each would otherwise fall back to a default silently.
+    "unknown_section": ("outputs", {"dir": "."}),
+    "unknown_params_field": ("params", {"m": [1.0, 1.0], "p": [1.0, 1.0], "dim": 2}),
+    "unknown_potential_field": ("potential", dict(pair_config()["potential"], confinig={
+        "R": 1.0, "C": [[1.0, 1.0], [1.0, 1.0]]})),
+    "unknown_confining_field": ("potential", dict(pair_config()["potential"], confining={
+        "R": 1.0, "C": [[1.0, 1.0], [1.0, 1.0]], "radius": 2.0})),
+    "unknown_kernel_field": ("potential", dict(pair_config()["potential"], entries=[
+        [{"kind": "quadratic", "a": 2.0, "b": 1.0}, {"kind": "quadratic", "a": 1.0}],
+        [{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}]])),
+    "unknown_initial_field": ("initial", dict(particle_initial(), name="uniform")),
+    "unknown_species_field": ("initial", {"type": "particles", "species": [
+        {"x": [0.0, 1.0], "mass": [0.5, 0.5]}, {"x": [0.0], "mass": [1.0], "weight": [1.0]}]}),
+    "unknown_preset_arg": ("initial", {"type": "preset", "name": "uniform",
+                                       "args": {"low": 5.0, "hi": 7.0}}),
+    "unknown_solver_field": ("solver", {"dt": 0.01, "t_end": 0.1, "step": 0.1}),
 }
 
 
@@ -193,6 +212,32 @@ def test_preset_argument_errors_name_their_path(tmp_path, capsys, case, path):
     config = write(tmp_path / "bad.json", malformed_config(case))
     assert cli.main(["analyze", "--config", config]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_asymmetric_entries_name_the_pair(tmp_path, capsys):
+    config = write(tmp_path / "bad.json", malformed_config("asymmetric_entries"))
+    assert cli.main(["analyze", "--config", config]) == 2
+    assert capsys.readouterr().err == ("config error: potential.entries: entries[0][1] != "
+                                       "entries[1][0] (interaction kernels must be symmetric)\n")
+
+
+@pytest.mark.parametrize("case,path,unknown", [
+    ("unknown_section", "config", ["outputs"]),
+    ("unknown_params_field", "params", ["dim"]),
+    ("unknown_potential_field", "potential", ["confinig"]),
+    ("unknown_confining_field", "potential.confining", ["radius"]),
+    ("unknown_kernel_field", "potential.entries[0][0]", ["b"]),
+    ("unknown_initial_field", "initial", ["name"]),
+    ("unknown_species_field", "initial.species[1]", ["weight"]),
+    ("unknown_preset_arg", "initial.args", ["low"]),
+    ("unknown_solver_field", "solver", ["step"]),
+])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_unknown_fields_are_named_with_their_path(tmp_path, capsys, case, path, unknown,
+                                                  command):
+    config = write(tmp_path / "bad.json", malformed_config(case))
+    assert cli.main([command, "--config", config]) == 2
+    assert f"config error: {path}: unknown fields {unknown} (expected " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p,potential", [

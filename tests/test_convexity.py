@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import multiagg as mg
 from multiagg.convexity import (analyze_system, confining_check, irreducible, lambda0,
-                                lambda0_scalar, modulus, necessary_condition)
+                                necessary_condition)
 
 
 def params_n(n, m=None, p=None):
@@ -25,17 +25,19 @@ def test_lambda0_worked_examples(kappa, expected):
     assert res.lambda0 == expected
 
 
-def test_lambda0_scalar():
-    assert lambda0_scalar(2.0, mg.SystemParams(m=[3.0], p=[0.5], E=[0.0])) == 3.0
-    assert lambda0_scalar(0.0, params_n(1)) == 0.0
-    assert lambda0_scalar(-1.0, mg.SystemParams(m=[1.0], p=[2.0], E=[0.0])) == -2.0
+@pytest.mark.parametrize("kappa,m,p,expected", [
+    (2.0, 3.0, 0.5, 3.0),
+    (0.0, 1.0, 1.0, 0.0),
+    (-1.0, 1.0, 2.0, -2.0),
+])
+def test_lambda0_single_species(kappa, m, p, expected):
+    # McCann's m kappa p; a single species has no auxiliary weights.
+    res = lambda0([[kappa]], mg.SystemParams(m=[m], p=[p], E=[0.0]))
+    assert res.lambda0 == expected
+    assert res.eta is None
 
 
 def test_lambda0_usage_errors():
-    with pytest.raises(ValueError):
-        lambda0(np.eye(1), params_n(1))
-    with pytest.raises(ValueError):
-        lambda0_scalar(1.0, params_n(2))
     with pytest.raises(ValueError):
         lambda0(np.array([[1.0, 2.0], [3.0, 1.0]]), params_n(2))
 
@@ -98,6 +100,38 @@ def test_confining_check_single_species():
     pm2 = mg.matrix_from_entries([[mg.Quadratic(-0.5)]], kappa=[[-0.5]],
                                  confining=mg.ConfiningSpec(1.0, [[-0.5]]))
     assert not confining_check(pm2, params_n(1)).verdict
+
+
+def tail_cases():
+    q = mg.Quadratic(1.0)
+
+    def one(c, m=1.0, p=1.0):
+        pm = mg.matrix_from_entries([[q]], kappa=[[1.0]], confining=mg.ConfiningSpec(1.0, [[c]]))
+        return pm, mg.SystemParams(m=[m], p=[p], E=[0.0])
+
+    def two(cross, c):
+        pm = mg.matrix_from_entries([[q, cross], [None, q]], kappa=np.eye(2),
+                                    confining=mg.ConfiningSpec(1.0, c))
+        return pm, params_n(2)
+
+    return {
+        "one_positive": one(0.5),
+        "one_negative": one(-0.5),
+        # m C p underflows to 0.0 although C > 0: the modulus, not C, decides.
+        "one_underflow": one(1e-300, m=1e-200, p=1e-200),
+        "two_positive": two(q, [[2.0, 1.0], [1.0, 2.0]]),
+        "two_negative": two(q, [[2.0, -1.0], [-1.0, 2.0]]),
+        "two_disconnected": two(mg.Zero(), [[1.0, 1.0], [1.0, 1.0]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(tail_cases()))
+def test_confining_verdict_is_positive_modulus_and_connected_tail(case):
+    pm, params = tail_cases()[case]
+    report = confining_check(pm, params)
+    assert report.verdict == (report.lambda0_tilde > 0.0 and report.irreducible_at_distance)
+    if case == "one_underflow":
+        assert report.lambda0_tilde == 0.0 and not report.verdict
 
 
 def test_confining_check_disconnected_tail():
@@ -187,7 +221,7 @@ def test_modulus_is_a_floor_of_the_centred_hessian_of_quadratic_systems(data, n,
     a[np.triu_indices(n)] = upper
     a = a + np.triu(a, 1).T
     m, p = (data.draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n)) for _ in "mp")
-    lam = modulus(a, mg.SystemParams(m=m, p=p, E=[0.0]))
+    lam = lambda0(a, mg.SystemParams(m=m, p=p, E=[0.0])).lambda0
     assert lam <= centred_hessian_floor(a, m, p, M) + 1e-12 * max(1.0, abs(lam))
 
 

@@ -62,8 +62,7 @@ def ref_quantile_diag_csv(path, records, n):
             writer.writerow(row)
 
 
-def ref_particle_diag_csv(path, traj, params):
-    d = params.d
+def ref_particle_diag_csv(path, traj, d):
     header = ["t", "energy"] + [f"E_invariant_{a + 1}" for a in range(d)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -116,9 +115,13 @@ def test_particle_writers_match_csv_writer_bytes(tmp_path, n, d):
               for _ in TIMES]
     same_bytes(tmp_path, write_particle_csv, ref_particle_csv, TIMES, states)
 
-    traj = SimpleNamespace(times=TIMES, states=states,
+    # The writer reads each record's centre (a number in d = 1, as diagnostics.record
+    # stores it); the reference recomputes it from the states.
+    centers = [measures.weighted_center_of_mass(s) for s in states]
+    records = [SimpleNamespace(E_invariant=float(c[0]) if d == 1 else c) for c in centers]
+    traj = SimpleNamespace(times=TIMES, states=states, records=records,
                            energies=[np.float64(v) for v in (1e308, -0.0, 0.1, 4.0, 5e-324)])
-    same_bytes(tmp_path, cli._write_particle_diag_csv, ref_particle_diag_csv, traj, params)
+    same_bytes(tmp_path, cli._write_particle_diag_csv, ref_particle_diag_csv, traj, d)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -40,9 +40,15 @@ class DirectQuadratic(ScalarPotential):
 
 
 def as_direct(pm):
-    """The same matrix with every Quadratic entry replaced by DirectQuadratic."""
-    entries = [[DirectQuadratic(pot.a) if isinstance(pot, mg.Quadratic) else pot for pot in row]
-               for row in pm.entries]
+    """The same matrix with every Quadratic entry replaced by DirectQuadratic.
+
+    Entries (i, j) and (j, i) share one DirectQuadratic, which compares by identity.
+    """
+    entries = [list(row) for row in pm.entries]
+    for i in range(pm.n):
+        for j in range(i, pm.n):
+            if isinstance(entries[i][j], mg.Quadratic):
+                entries[i][j] = entries[j][i] = DirectQuadratic(entries[i][j].a)
     return PotentialMatrix(entries, pm.kappa, pm.growth, pm.confining)
 
 

@@ -6,8 +6,7 @@ import pytest
 
 import multiagg as mg
 from multiagg.potentials import (DoubleWell, GaussianAR, Morse, Power, Quadratic,
-                                 Tabulated, Zero, estimate_growth_bound,
-                                 estimate_semiconvexity, validate)
+                                 Tabulated, Zero, estimate_growth_bound, validate)
 
 ALL_KINDS = [
     Quadratic(1.7),
@@ -59,25 +58,34 @@ def test_grad_matches_finite_differences(pot):
     assert np.all(np.abs(fd - g) <= 1e-6 * np.maximum(1.0, np.abs(g)))
 
 
-@pytest.mark.parametrize("a", [-3.0, 0.0, 7.0])
-def test_semiconvexity_quadratic_exact(a):
-    est = estimate_semiconvexity(Quadratic(a), (-5.0, 5.0), 101)
-    assert abs(est - a) <= 1e-9
-
-
-def test_semiconvexity_double_well():
+# (kernel, grid, samples, true minimum curvature, overstatement that W5 must catch,
+# |z| of the minimum or None where the curvature is constant)
+CURVATURE_CASES = {
+    # exact: an overstatement of 1e-7 exceeds W5's tolerance 1e-8 (1 + |kappa|)
+    **{f"quadratic_{a}": (Quadratic(a), (-5.0, 5.0), 101, a, 1e-7, None)
+       for a in (-3.0, 0.0, 7.0)},
     # curvature 12 z^2 - 2 has its minimum -2 at z = 0
-    est = estimate_semiconvexity(DoubleWell(1.0, 1.0), (-1.0, 1.0), 1001)
-    assert abs(est - (-2.0)) <= 1e-3
+    "double_well": (DoubleWell(1.0, 1.0), (-1.0, 1.0), 1001, -2.0, 1e-3, 0.0),
+    # closed-form second derivative of -exp(-z^2): (2 - 4 z^2) exp(-z^2), least at z^2 = 3/2
+    "gaussian": (GaussianAR(ca=1.0, la=1.0, cr=0.0, lr=1.0), (-3.0, 3.0), 1001,
+                 -4.0 * np.exp(-1.5), 1e-3, np.sqrt(1.5)),
+}
 
 
-def test_semiconvexity_gaussian_matches_dense_second_derivative():
-    pot = GaussianAR(ca=1.0, la=1.0, cr=0.0, lr=1.0)
-    # closed-form second derivative of -exp(-z^2): (2 - 4 z^2) exp(-z^2)
-    z = np.linspace(-3.0, 3.0, 200001)
-    analytic_min = ((2.0 - 4.0 * z * z) * np.exp(-z * z)).min()
-    est = estimate_semiconvexity(pot, (-3.0, 3.0), 1001)
-    assert abs(est - analytic_min) <= 1e-3
+@pytest.mark.parametrize("case", sorted(CURVATURE_CASES))
+def test_validate_curvature_check_is_accurate(case):
+    pot, interval, samples, true_min, excess, z_min = CURVATURE_CASES[case]
+
+    def w5(kappa):
+        pm = mg.matrix_from_entries([[pot]], kappa=[[kappa]])
+        report = validate(pm, interval=interval, samples=samples)
+        return [w for w in report.warnings if w.assumption == "W5"]
+
+    assert w5(true_min) == []
+    warned = w5(true_min + excess)
+    assert len(warned) == 1
+    if z_min is not None:
+        assert abs(abs(warned[0].z) - z_min) <= 0.01
 
 
 def test_growth_bound_quadratic():
@@ -97,12 +105,6 @@ def test_growth_bound_double_well_matches_grid_oracle():
     oracle = (np.abs(4.0 * z ** 3 - 2.0 * z) / (np.abs(z) + 1.0)).max()
     est = estimate_growth_bound(DoubleWell(1.0, 1.0), (-2.0, 2.0), 1001)
     assert est == pytest.approx(oracle, rel=1e-12)
-
-
-def test_gradient_lipschitz_estimate():
-    # |W''| of -exp(-z^2) peaks at 2
-    est = mg.estimate_gradient_lipschitz(GaussianAR(1.0, 1.0, 0.0, 1.0), (-4.0, 4.0), 4001)
-    assert est == pytest.approx(2.0, abs=1e-3)
 
 
 def test_morse_requires_smoothing():
@@ -205,13 +207,12 @@ def test_validate_passes_symmetric_quadratic(two_species_attractive):
     assert not report.warnings
 
 
-def test_validate_flags_entry_asymmetry():
-    pm = mg.PotentialMatrix(
-        ((Quadratic(1.0), Quadratic(2.0)), (Quadratic(3.0), Quadratic(1.0))),
-        kappa=[[1.0, 2.0], [2.0, 1.0]])
-    report = validate(pm)
-    assert not report.all_passed
-    assert report.flagged("W1")
+def test_asymmetric_entries_are_rejected():
+    # the pair sums read the upper triangle only, the step bound both triangles
+    with pytest.raises(ValueError, match=re.escape("entries[0][1] != entries[1][0]")):
+        mg.PotentialMatrix(
+            ((Quadratic(1.0), Quadratic(2.0)), (Quadratic(3.0), Quadratic(1.0))),
+            kappa=[[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_validate_warns_on_overstated_kappa():

@@ -13,7 +13,7 @@ import numpy as np
 
 from multiagg import quantile_solver, verify
 from multiagg.config import config_from_dict
-from multiagg.convexity import modulus
+from multiagg.convexity import lambda0
 
 
 def mixed_config():
@@ -111,7 +111,7 @@ def convex_plane_config():
 
 def test_plane_contraction_and_ground_state_pass_and_catch_a_doctored_trajectory():
     cfg = convex_plane_config()
-    rate = modulus(cfg.potential.kappa, cfg.params)
+    rate = lambda0(cfg.potential.kappa, cfg.params).lambda0
     assert rate == 1.0
     traj = quantile_solver.run(cfg.initial_particles, cfg.potential, cfg.solver)
     contraction = verify._contraction(cfg, traj, rate)
