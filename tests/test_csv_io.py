@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -200,6 +201,30 @@ def test_reader_rejects_repeated_cells(tmp_path, rows, where):
     path.write_text("\r\n".join(["t,species,cell,u"] + rows) + "\r\n", newline="")
     with pytest.raises(ValueError, match=where):
         read_quantile_csv(path, one)
+
+
+@pytest.mark.parametrize("body, want", [
+    (["0.0,0,0,1.0", "0.0,0,-1,2.0"], "snapshot t=0.0 is incomplete: 2 of 1x1 values"),
+    # A grid this size is refused from the counts, never allocated.
+    (["0.0,0,1000000000000,1.0"], "snapshot t=0.0 is incomplete: 1 of 1x1000000000001 values"),
+    ([], "the trajectory holds no snapshot"),
+    # A 2x2 grid for one species, with cell 1 of species 1 given as a second cell 0.
+    (["0.0,1,0,1.0", "0.0,0,0,1.0", "0.0,0,1,1.0", "0.0,1,0,2.0"],
+     "snapshot t=0.0 repeats species 1 cell 0"),
+    (["inf,0,0,1.0", "0.0,0,x,1.0"], "invalid literal for int() with base 10: 'x'"),
+    (["-0.0,0,0,1.0", "0.0,0,1,2.0"], ([-0.0], [[[1.0, 2.0]]])),
+])
+def test_reader_outcomes(tmp_path, body, want):
+    one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])
+    path = tmp_path / "traj.csv"
+    path.write_text("\r\n".join(["t,species,cell,u"] + body) + "\r\n", newline="")
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            read_quantile_csv(path, one)
+        return
+    times, states = read_quantile_csv(path, one)
+    assert np.array(times).tobytes() == np.array(want[0]).tobytes()
+    assert np.array([qs.u for qs in states]).tobytes() == np.array(want[1]).tobytes()
 
 
 def test_reader_rejects_non_finite_times(tmp_path):
