@@ -8,11 +8,17 @@ explicit positions and per-particle masses.  Both are weighted clouds
 once over them; on quantile clouds the distance is the transport distance,
 the monotone pairing being optimal in one dimension.  Conversions between
 the two views are exact for atomic data up to cell resolution.
+
+Trajectories are CSV snapshots, written one whole snapshot per join.  The
+reader parses the body in chunks of _CHUNK rows, keeps each as compact
+columns and scatters them into the grid of all snapshots at the end, so it
+holds about 38 bytes per row at its peak, the 8-byte result included.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -204,6 +210,7 @@ def weighted_center_of_mass(state) -> np.ndarray:
 _QUANTILE_COLUMNS = ("t", "species", "cell", "u")
 _QUANTILE_ROW = np.dtype([("t", float), ("species", np.int64), ("cell", np.int64),
                           ("u", float)])
+_CHUNK = 8192  # rows per numpy.loadtxt call of read_quantile_csv
 
 
 def float_fields(values) -> list:
@@ -250,34 +257,49 @@ def read_quantile_csv(path, params: SystemParams):
     u, every row fills them, times are finite, and every snapshot is a full
     (params.n, M) grid, M fixed, that gives no cell twice.  Snapshots are
     the distinct times in order of first appearance; rows may come in any
-    order.
+    order.  The body is parsed _CHUNK rows at a time; see _snapshots.
     """
-    import warnings
-
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
         missing = [c for c in _QUANTILE_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"the header lacks column(s) {', '.join(missing)}")
         cols = tuple(header.index(c) for c in _QUANTILE_COLUMNS)
-        with warnings.catch_warnings():
-            # Older numpy reads "1.5" in an integer column as 1 and only warns.
-            warnings.simplefilter("error")
-            try:
-                rows = np.loadtxt(fh, dtype=_QUANTILE_ROW, delimiter=",", comments=None,
-                                  quotechar='"', usecols=cols, ndmin=1)
-            except (ValueError, Warning) as err:
-                fh.seek(0)
-                _raise_row_error(csv.reader(fh), cols, err)
-    return _snapshots(rows, params)
+        return _snapshots(_chunks(fh, cols), params)
 
 
-def _raise_row_error(reader, cols, err):
+def _load(fh, cols, max_rows=None):
+    """Parse the rows that follow in ``fh``, at most ``max_rows`` of them."""
+    with warnings.catch_warnings():
+        # Older numpy reads "1.5" in an integer column as 1 and only warns.
+        warnings.simplefilter("error")
+        # numpy >= 1.23 warns that max_rows does not count a blank line, and that a
+        # read found no row.
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        return np.loadtxt(fh, dtype=_QUANTILE_ROW, delimiter=",", comments=None,
+                          quotechar='"', usecols=cols, ndmin=1, max_rows=max_rows)
+
+
+def _chunks(fh, cols):
+    """The body that follows the header in ``fh``, parsed _CHUNK rows at a time."""
+    while True:
+        try:
+            rows = _load(fh, cols, _CHUNK)
+        except (ValueError, Warning) as err:
+            _raise_row_error(fh, cols, err)
+        if rows.size:
+            yield rows
+        if rows.size < _CHUNK:
+            return
+
+
+def _raise_row_error(fh, cols, err):
     """Name the first row that fails the parse ``err`` reports, as a row-by-row parse would."""
+    fh.seek(0)
+    reader = csv.reader(fh)
     next(reader)
     it, ii, ik, iu = cols
     width = 1 + max(cols)
-    empty = True
     for row in reader:
         if not row:
             continue
@@ -285,50 +307,95 @@ def _raise_row_error(reader, cols, err):
             raise ValueError(f"line {reader.line_num} has fewer fields than the header")
         # The array parse's conversions, in the order a row-by-row reader made them.
         float(row[it]), float(row[iu]), int(row[ii]), int(row[ik])
-        empty = False
-    if empty:
-        raise ValueError("the trajectory holds no snapshot")
+    # Only numpy refuses a row: take its reason from one pass over the whole body, so
+    # that the row it names is counted from the first.
+    fh.seek(0)
+    next(csv.reader(fh))
+    try:
+        _load(fh, cols)
+    except (ValueError, Warning) as whole:
+        err = whole
     raise ValueError(f"unreadable trajectory: {err}")
 
 
-def _snapshots(rows, params: SystemParams):
-    """Group parsed rows into snapshots and check each grid; see read_quantile_csv."""
-    t = rows["t"]
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"snapshot t={float(t[~np.isfinite(t)][0])!r}: times must be finite")
-    _, first, inverse = np.unique(t, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    times = t[np.sort(first)].tolist()
-    snap = rank[inverse.ravel()]
-    order = np.lexsort((rows["cell"], rows["species"], snap))
-    snap, i, k, u = snap[order], rows["species"][order], rows["cell"][order], rows["u"][order]
+def _group(chunks):
+    """Number the snapshots and keep each chunk as compact columns; see _snapshots.
 
-    starts = np.flatnonzero(np.r_[True, snap[1:] != snap[:-1]])
-    count = np.diff(np.r_[starts, snap.size])
-    n = i[np.r_[starts[1:], snap.size] - 1] + 1
-    M = np.maximum.reduceat(k, starts) + 1
-    negative = (i[starts] < 0) | (np.minimum.reduceat(k, starts) < 0)
-    repeat = (snap[1:] == snap[:-1]) & (i[1:] == i[:-1]) & (k[1:] == k[:-1])
-    repeats = np.bincount(snap[1:][repeat], minlength=starts.size) > 0
-    incomplete = (count != n * M) | negative
+    Returns the times in order of first appearance, per chunk its snapshot
+    ids (int32), (species, cell) pairs and u, and per snapshot its row count
+    and least and greatest (species, cell).
+    """
+    ids: dict = {}  # time -> snapshot id
+    kept = []
+    count = np.zeros(0, np.int64)
+    lo = np.zeros((0, 2), np.int64)
+    hi = np.zeros((0, 2), np.int64)
+    for rows in chunks:
+        t = rows["t"]
+        if not np.all(np.isfinite(t)):
+            for _ in chunks:  # a parse error further on comes first
+                pass
+            raise ValueError(f"snapshot t={float(t[~np.isfinite(t)][0])!r}: times must be finite")
+        start = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])  # runs of one time
+        length = np.diff(np.r_[start, t.size])
+        run = np.array([ids.setdefault(x, len(ids)) for x in t[start].tolist()], np.int32)
+        new = len(ids) - count.size
+        count = np.concatenate([count, np.zeros(new, np.int64)])
+        lo = np.concatenate([lo, np.full((new, 2), np.iinfo(np.int64).max, np.int64)])
+        hi = np.concatenate([hi, np.full((new, 2), np.iinfo(np.int64).min, np.int64)])
+        ik = np.stack([rows["species"], rows["cell"]], axis=1)
+        np.add.at(count, run, length)
+        np.minimum.at(lo, run, np.minimum.reduceat(ik, start))
+        np.maximum.at(hi, run, np.maximum.reduceat(ik, start))
+        kept.append((np.repeat(run, length), ik, rows["u"].copy()))
+    if not ids:
+        raise ValueError("the trajectory holds no snapshot")
+    return list(ids), kept, count, lo, hi
+
+
+def _snapshots(chunks, params: SystemParams):
+    """Group parsed rows into snapshots and check each grid; see read_quantile_csv.
+
+    The shape checks run on the per-snapshot counts and extremes.  The
+    snapshots before the first that fails them are scattered into one grid,
+    where a slot left unfilled marks a repeat; only the first bad snapshot's
+    rows are searched to name its fault.
+    """
+    times, kept, count, lo, hi = _group(chunks)
+    n, M = (hi + 1).T
+    incomplete = (count != n * M) | np.any(lo < 0, axis=1)
     misshapen = (n != params.n) | (M != M[0])
-    bad = np.flatnonzero(repeats | incomplete | misshapen)
-    b = int(bad[0]) if bad.size else starts.size
+    flawed = np.flatnonzero(incomplete | misshapen)
+    good = int(flawed[0]) if flawed.size else len(times)  # snapshots before the first flaw
 
-    size = int(count[0])  # the grid size of every snapshot before b
-    states = [QuantileState(u[s * size:(s + 1) * size].reshape(params.n, -1), params)
+    M0 = int(M[0])
+    size = params.n * M0
+    grid = np.empty(good * size)
+    filled = np.zeros(good * size, bool)
+    for snap, ik, u in kept:
+        if good < len(times):
+            keep = snap < good
+            snap, ik, u = snap[keep], ik[keep], u[keep]
+        at = np.multiply(snap, size, dtype=np.int64)
+        at += ik[:, 0] * M0
+        at += ik[:, 1]
+        grid[at] = u
+        filled[at] = True
+    b = good if filled.all() else int(filled.argmin()) // size  # the first bad snapshot
+    states = [QuantileState(grid[s * size:(s + 1) * size].reshape(params.n, M0), params)
               for s in range(b)]
-    if b < starts.size:
+    if b < len(times):
+        pairs, repeats = np.unique(np.concatenate([ik[snap == b] for snap, ik, _ in kept]),
+                                   axis=0, return_counts=True)
         t_b, n_b, M_b = times[b], int(n[b]), int(M[b])
-        if repeats[b]:
-            r = np.flatnonzero(repeat & (snap[1:] == b))[0]
-            raise ValueError(f"snapshot t={t_b!r} repeats species {int(i[r])} cell {int(k[r])}")
+        if np.any(repeats > 1):
+            i, k = pairs[np.argmax(repeats > 1)]
+            raise ValueError(f"snapshot t={t_b!r} repeats species {int(i)} cell {int(k)}")
         if incomplete[b]:
             raise ValueError(
                 f"snapshot t={t_b!r} is incomplete: {int(count[b])} of {n_b}x{M_b} values")
         raise ValueError(f"snapshot t={t_b!r} is a {n_b}x{M_b} grid, "
-                         f"expected {params.n}x{int(M[0])}")
+                         f"expected {params.n}x{M0}")
     return times, states
 
 

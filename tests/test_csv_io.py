@@ -4,12 +4,13 @@ import csv
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multiagg as mg
@@ -128,10 +129,20 @@ def test_particle_writers_match_csv_writer_bytes(tmp_path, n, d):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.fixture(params=[None, 1, 2, 3], ids=lambda c: f"chunk={c or 'default'}")
+def chunk(request, monkeypatch):
+    """The reader's rows per parse: its own, or so few that every file spans chunks."""
+    if request.param:
+        monkeypatch.setattr(measures, "_CHUNK", request.param)
+    return measures._CHUNK
+
+
+# The patched chunk size holds for every example, so one fixture per test is right.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(1, 3), st.integers(1, 4), st.lists(finite, min_size=1, max_size=4, unique=True),
        st.data())
-def test_write_then_read_is_bit_exact(n, M, times, data):
+def test_write_then_read_is_bit_exact(chunk, n, M, times, data):
     params = mg.SystemParams(m=[1.0] * n, p=[1.0] * n, E=[0.0])
     u = [np.array(data.draw(st.lists(finite, min_size=n * M, max_size=n * M))).reshape(n, M)
          for _ in times]
@@ -169,7 +180,7 @@ def assert_same(got, want):
         assert np.array_equal(a.u, b.u)
 
 
-def test_reader_takes_what_csv_reader_takes(tmp_path):
+def test_reader_takes_what_csv_reader_takes(tmp_path, chunk):
     text, want = canonical(tmp_path)
     lines = text.split("\r\n")[:-1]
     rows = [line.split(",") for line in lines]
@@ -195,7 +206,7 @@ def test_reader_takes_what_csv_reader_takes(tmp_path):
     (["0.0,0,0,1.0", "0.0,0,1,2.0", "0.5,0,0,1.5", "0.5,0,1,2.5", "0.0,0,1,-7.0"],
      "t=0.0 repeats species 0 cell 1"),
 ])
-def test_reader_rejects_repeated_cells(tmp_path, rows, where):
+def test_reader_rejects_repeated_cells(tmp_path, chunk, rows, where):
     one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])
     path = tmp_path / "traj.csv"
     path.write_text("\r\n".join(["t,species,cell,u"] + rows) + "\r\n", newline="")
@@ -214,7 +225,7 @@ def test_reader_rejects_repeated_cells(tmp_path, rows, where):
     (["inf,0,0,1.0", "0.0,0,x,1.0"], "invalid literal for int() with base 10: 'x'"),
     (["-0.0,0,0,1.0", "0.0,0,1,2.0"], ([-0.0], [[[1.0, 2.0]]])),
 ])
-def test_reader_outcomes(tmp_path, body, want):
+def test_reader_outcomes(tmp_path, chunk, body, want):
     one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])
     path = tmp_path / "traj.csv"
     path.write_text("\r\n".join(["t,species,cell,u"] + body) + "\r\n", newline="")
@@ -227,12 +238,43 @@ def test_reader_outcomes(tmp_path, body, want):
     assert np.array([qs.u for qs in states]).tobytes() == np.array(want[1]).tobytes()
 
 
-def test_reader_rejects_non_finite_times(tmp_path):
+def test_reader_rejects_non_finite_times(tmp_path, chunk):
     one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])
     path = tmp_path / "traj.csv"
     path.write_text("t,species,cell,u\r\ninf,0,0,1.0\r\n", newline="")
     with pytest.raises(ValueError, match="t=inf: times must be finite"):
         read_quantile_csv(path, one)
+
+
+def test_reader_ends_on_a_full_chunk(tmp_path, chunk):
+    # Two snapshots of `chunk` cells fill two chunks exactly; the third read finds no row.
+    one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])
+    rng = np.random.default_rng(5)
+    states = [mg.QuantileState(rng.normal(size=(1, chunk)), one) for _ in range(2)]
+    path = tmp_path / "traj.csv"
+    write_quantile_csv(path, [0.0, 1.0], states)
+    times, got = read_quantile_csv(path, one)
+    assert times == [0.0, 1.0]
+    assert all(np.array_equal(a.u, b.u) for a, b in zip(got, states))
+
+
+def test_reader_peak_memory_per_row(tmp_path):
+    # 100 snapshots of 2 species on 1024 cells: 204,800 rows.  Parsing the whole body at
+    # once held 88 bytes per row at the peak; the chunked reader stays under 40, the
+    # 8-byte result included.
+    params = pair_params()
+    rng = np.random.default_rng(6)
+    states = [mg.QuantileState(rng.normal(size=(2, 1024)), params) for _ in range(100)]
+    path = tmp_path / "traj.csv"
+    write_quantile_csv(path, [0.01 * s for s in range(100)], states)
+    del states
+    tracemalloc.start()
+    try:
+        read_quantile_csv(path, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 204_800
 
 
 def pair_config():
@@ -254,7 +296,7 @@ def diagnose(tmp_path, text, capsys):
 
 
 @pytest.mark.parametrize("value", ["1.5", "x"])
-def test_diagnose_rejects_a_species_that_is_no_integer(tmp_path, capsys, value):
+def test_diagnose_rejects_a_species_that_is_no_integer(tmp_path, capsys, chunk, value):
     text, _ = canonical(tmp_path)
     lines = text.split("\r\n")
     fields = lines[4].split(",")
@@ -265,7 +307,7 @@ def test_diagnose_rejects_a_species_that_is_no_integer(tmp_path, capsys, value):
     assert "config error: traj:" in err and f"'{value}'" in err
 
 
-def test_diagnose_rejects_a_repeated_cell(tmp_path, capsys):
+def test_diagnose_rejects_a_repeated_cell(tmp_path, capsys, chunk):
     text, _ = canonical(tmp_path)
     lines = text.split("\r\n")[:-1]
     code, err = diagnose(tmp_path, "\r\n".join(lines + [lines[2]]) + "\r\n", capsys)
