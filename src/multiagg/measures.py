@@ -382,6 +382,7 @@ def _snapshots(chunks, params: SystemParams):
         grid[at] = u
         filled[at] = True
     b = good if filled.all() else int(filled.argmin()) // size  # the first bad snapshot
+    # A non-finite u before the first bad snapshot is reported before its fault.
     states = [QuantileState(grid[s * size:(s + 1) * size].reshape(params.n, M0), params)
               for s in range(b)]
     if b < len(times):
