@@ -5,9 +5,9 @@ so it serves quantile and particle states alike.  Quadratures use the same
 flat midpoint rule over the M equal-mass cells as the solver velocity, so
 a quantile state is diagnosed as steady exactly when the solver would not
 move it.  Energy and force field come from the pairwise engine
-``potentials.pair_fields``, the call the time loop makes.  A record takes both
-from one engine pass, and ``energy`` is that pass's energy.  Only the
-support bounds are one-dimensional.
+(``engine.pair_fields``, one pass of the plan the time loop steps with).  A
+record takes both from one engine pass, and ``energy`` is that pass's
+energy.  Only the support bounds are one-dimensional.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .convexity import SystemParams
 from .measures import QuantileState, compound_distance, weighted_center_of_mass
-from .potentials import PotentialMatrix, pair_fields
+from .engine import pair_fields
+from .potentials import PotentialMatrix
 
 
 @dataclass

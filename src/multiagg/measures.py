@@ -383,6 +383,10 @@ def _snapshots(chunks, params: SystemParams):
         filled[at] = True
     b = good if filled.all() else int(filled.argmin()) // size  # the first bad snapshot
     # A non-finite u before the first bad snapshot is reported before its fault.
+    bad = np.flatnonzero(~np.isfinite(grid[:b * size]))
+    if bad.size:
+        s, i, k = np.unravel_index(bad[0], (b, params.n, M0))
+        raise ValueError(f"snapshot t={times[s]!r}: species {i} cell {k} is not finite")
     states = [QuantileState(grid[s * size:(s + 1) * size].reshape(params.n, M0), params)
               for s in range(b)]
     if b < len(times):

@@ -11,39 +11,12 @@ declared semiconvexity moduli (``kappa``), optional quadratic-growth
 constants, and an optional tail-convexity declaration used by the confinement
 analysis.
 
-``pair_fields`` is the one pairwise-interaction engine of both solvers and
-the diagnostics: each species pair once, zero entries skipped.  A diagonal
-pair (i, i) takes the kernel's ``self_fields``, an off-diagonal pair
-``cloud_fields``; with ``energy=True`` each also returns its share of E from
-the same pass.  Three ways to sum a pair:
-
-* ``Quadratic``, in any d: closed form from each cloud's mass, mean and
-  variance.
-* In d = 1, ``Tabulated``, ``DoubleWell`` and ``Power`` with integer q <= 4,
-  whose profiles are polynomial pieces in |z| (``_Profile``, the one table
-  that also gives ``Tabulated``'s pointwise values and its zero and tail
-  verdicts): exactly, from moments of the source cloud about one of its
-  points.  Even polynomials in z (``DoubleWell``, q = 2 and 4) take
-  whole-cloud moments; the others sort the source once and take prefix
-  moments over the windows that each target's knots cut out, found by
-  ``searchsorted``.  W' and W are read off one moment table.
-* Every other kind or d: directly in bounded row tiles, each one matrix of
-  W'(x - y) in d = 1 or of W'(r)/r in d > 1 (``_tile``) times the sources
-  of both fields.  The self path sweeps the upper triangle: row tile
-  [k0, k1) is evaluated against the points k0: only, so the pairs within
-  its own rows are evaluated in both orders and every other pair once, and
-  its columns past its rows feed the later points.  That is
-  sum (k1 - k0)(N - k0) evaluations: 44,153 for the 32,896 pairs of
-  N = 256, diagonal included.
-
-A tile takes each coordinate difference x_a - y_a as a row [x_a, 1] times a
-column [1; -y_a], one BLAS product per axis from factors built once per call
-(``_tile_rows``, ``_tile_cols``).  Both products are exact and their sum is
-rounded once, so the differences equal numpy's broadcast bit for bit, but
-for the sign of a zero or a nan difference.  A direct tile with ``energy`` is
-one kernel evaluation of W' and W (``_line`` from z in d = 1, ``_radial`` from
-r^2 in d > 1).  The energy alone is the same pass, so a recorded energy and
-``diagnostics.energy`` agree bit for bit.
+Each kernel binds its sum between two weighted clouds, or of one cloud on
+itself, to a layout once (``_bind``), as ``engine.InteractionPlan`` asks:
+``Quadratic`` from each cloud's mass, mean and variance; in d = 1 the kinds
+whose profiles are polynomial pieces in |z| (``_Profile``) from moments of
+the source cloud; every other kind or d directly in row tiles.
+``cloud_fields`` and ``self_fields`` are one such sum, bound for one call.
 """
 
 from __future__ import annotations
@@ -54,15 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-_TILE = 16384  # kernel evaluations per row tile of a directly summed block
-
-# A (T, L) tile temporary is 128 KiB, glibc's default mmap threshold, and a
-# tile's kernel evaluation holds several at once, so glibc would map and unmap
-# them (and the OS refault every page) on each tile.  Freeing one 4 MiB block
-# raises glibc's dynamic mmap and trim thresholds above that, and they never
-# fall again in this process.  Other allocators ignore it.
-np.empty(32 * _TILE)
-
+from . import engine
+from .engine import _direct_cross, _direct_self, _horner_rows, _powers, _prefix_sums
 
 def _pointwise(f, z):
     """f on z as a float array; a 0-d z goes in as one element (kernels write in place
@@ -117,137 +83,44 @@ class ScalarPotential:
         return not self.is_identically_zero()
 
     def cloud_fields(self, x, wx, y, wy, energy=False):
-        """Pair fields between weighted point clouds, summed directly.
+        """Pair fields between weighted point clouds.
 
         ``x`` (N, d) with weights ``wx`` (N,), ``y`` (L, d) with ``wy`` (L,).
-        Returns (sum_l wy_l grad W(x_k - y_l), sum_k wx_k grad W(y_l - x_k));
-        in d = 1 the second negates the same blocks, bit-exactly as W' is odd.
-        With ``energy``, E = sum_kl wx_k wy_l W(x_k - y_l) from the same tiles
+        Returns (sum_l wy_l grad W(x_k - y_l), sum_k wx_k grad W(y_l - x_k)).
+        With ``energy``, E = sum_kl wx_k wy_l W(x_k - y_l) from the same pass
         follows: (fx, fy, E).
         """
-        X, _, rev = _sources(x, wx, y[0])
-        Y, fwd, _ = _sources(y, wy, y[0])
-        A, B = _tile_rows(X), _tile_cols(Y)
-        sx, sy = np.empty((len(x), fwd.shape[1])), np.zeros((rev.shape[1], len(y)))
-        total = 0.0
-        rows = max(1, _TILE // len(y))
-        for k0 in range(0, len(x), rows):
-            K, V = _tile(self, A[:, k0:k0 + rows], B, value=energy)
-            sx[k0:k0 + rows] = K @ fwd
-            sy += rev[k0:k0 + rows].T @ K
-            if energy:
-                total += wx[k0:k0 + rows] @ V @ wy
-        f = _field(X, sx), _field(Y, sy.T)
-        return f + (float(total),) if energy else f
+        fx, fy, e = _pair_sum(self, x, wx, y, wy, energy)
+        return (fx, fy, e) if energy else (fx, fy)
 
     def self_fields(self, x, w, energy=False):
-        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l), over the upper triangle;
-        with ``energy``, E = sum_kl w_k w_l W(x_k - x_l) from the same tiles follows: (f, E).
+        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l); with ``energy``,
+        E = sum_kl w_k w_l W(x_k - x_l) from the same pass follows: (f, E)."""
+        f, _, e = _pair_sum(self, x, w, x, None, energy)
+        return (f, e) if energy else f
 
-        Row tile [k0, k1) is evaluated against x[k0:] only: the whole block
-        feeds rows k0:k1, whose own pairs it holds in both orders, and its
-        columns past k1 feed points k1:.  E sums the diagonal tiles plus twice
-        the rest.  In d > 1 each point's pair with itself is zeroed in the
-        tile: its term C_kk w_k (X_k - X_k) is 0, but in the product form it
-        is two terms of size |C_kk w_k X_k| that cancel in floating point.
+    def _bind(self, wx, wy, d):
+        """This kernel's sum between clouds of weights ``wx`` and ``wy`` in d, or of the
+        first cloud on itself if ``wy`` is None, bound once per layout.
+
+        Returns (fn, sources): ``fn(x, y, energy, tables)`` gives (field on x,
+        field on y or None, E or None), and ``sources`` names the clouds whose
+        prefix tables it reads, as (0 for x or 1 for y, W's rows too with
+        ``energy``), in the order of ``tables`` (see ``_Profile.table``).
+
+        Here the sums are direct, in row tiles (``engine._direct_self`` and
+        ``engine._direct_cross``).
         """
-        X, fwd, rev = _sources(x, w, x[0])
-        A, B = _tile_rows(X), _tile_cols(X)
-        s = np.zeros_like(fwd)
-        total = 0.0
-        for k0, k1 in _triangle_tiles(len(x)):
-            K, V = _tile(self, A[:, k0:k1], B[:, :, k0:], value=energy)
-            if len(A) > 1:
-                np.fill_diagonal(K, 0.0)
-            s[k0:k1] += K @ fwd[k0:]
-            s[k1:] += (rev[k0:k1].T @ K)[:, k1 - k0:].T
-            if energy:
-                row = w[k0:k1] @ V
-                total += row[:k1 - k0] @ w[k0:k1] + 2.0 * (row[k1 - k0:] @ w[k1:])
-        return (_field(X, s), float(total)) if energy else _field(X, s)
+        return (_direct_self(self, wx, d) if wy is None else _direct_cross(self, wx, wy)), ()
 
 
-def _triangle_tiles(N: int):
-    """Row tiles [k0, k1) of an N-point self block, each about _TILE evaluations against x[k0:]."""
-    k0 = 0
-    while k0 < N:
-        k1 = min(N, k0 + max(1, _TILE // (N - k0)))
-        yield k0, k1
-        k0 = k1
-
-
-def _sources(x: np.ndarray, w: np.ndarray, c: np.ndarray):
-    """Coordinates X of a cloud and the (forward, reverse) columns that a tile K multiplies.
-
-    In d = 1, K holds W'(x_k - y_l), X = x and the fields are K w and, as W'
-    is odd, -w K.  In d > 1, K holds C = W'(r)/r, X = x - c and
-    sum_l w_l grad W(x_k - y_l) = X_k (C w)_k - (C (w Y))_k: one product with
-    [w, w X] both ways, as C is even (see _field).  Taking c, a point of the
-    source cloud, keeps X_k - Y_l as accurate as x_k - y_l.  Energies are
-    summed over the same coordinates.
-    """
-    if x.shape[1] == 1:
-        return x, w[:, None], -w[:, None]
-    X = x - c
-    b = np.column_stack([w, w[:, None] * X])
-    return X, b, b
-
-
-def _field(X: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The field at X from its summed tile products s (see _sources)."""
-    return s if X.shape[1] == 1 else X * s[:, :1] - s[:, 1:]
-
-
-def _tile_rows(X: np.ndarray) -> np.ndarray:
-    """The rows [X_a, 1] (d, N, 2) of the tiles of targets X (N, d), one matrix per axis a."""
-    A = np.ones((X.shape[1], len(X), 2))
-    A[:, :, 0] = X.T
-    return A
-
-
-def _tile_cols(Y: np.ndarray) -> np.ndarray:
-    """The columns [1; -Y_a] (d, 2, L) of the tiles of sources Y (L, d), one matrix per axis a.
-
-    A row of ``_tile_rows`` times a column is x_a - y_a (see the module
-    docstring).  Neither factor holds a zero, which would turn an infinite
-    coordinate into nan.
-    """
-    B = np.ones((Y.shape[1], 2, len(Y)))
-    np.negative(Y.T, out=B[:, 1])
-    return B
-
-
-def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """|x_k - y_l|^2 (T, L) from tile rows A (d, T, 2) and columns B (d, 2, L), accumulated
-    axis by axis."""
-    r2 = A[0] @ B[0]
-    r2 *= r2
-    for a, b in zip(A[1:], B[1:]):
-        diff = a @ b
-        diff *= diff
-        r2 += diff
-    return r2
-
-
-def _tile(pot: ScalarPotential, A: np.ndarray, B: np.ndarray, value=False):
-    """(K, V) of tile rows A (d, T, 2) against columns B (d, 2, L) from one kernel
-    evaluation, both (T, L): the tile K (see _sources) and, if ``value``,
-    V = W(x_k - y_l), else None."""
-    if len(B) == 1:
-        return pot._line(A[0] @ B[0], value)
-    return pot._radial(_sq_dist(A, B), value)
-
-
-def _grad_block(pot: ScalarPotential, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """grad W(x_k - y_l) for tile rows A (d, T, 2) against columns B (d, 2, L), laid out
-    (T, d, L): the pointwise test of a non-finite field."""
-    K = _tile(pot, A, B)[0][:, None, :]
-    return K if len(B) == 1 else K * (A @ B).transpose(1, 0, 2)
-
-
-def _value_block(pot: ScalarPotential, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """W(x_k - y_l) for tile rows A (d, T, 2) against columns B (d, 2, L), as (T, L)."""
-    return _tile(pot, A, B, True)[1]
+def _pair_sum(pot, x, wx, y, wy, energy):
+    """``pot``'s pair sum bound for this one call (see ``ScalarPotential._bind``), each
+    prefix table built on its own."""
+    fn, sources = pot._bind(wx, wy, x.shape[1])
+    clouds = (x, wx), (y, wx if wy is None else wy)
+    return fn(x, y, energy, [pot._profile.table(*clouds[k], value and energy)
+                             for k, value in sources])
 
 
 @dataclass(frozen=True)
@@ -279,35 +152,37 @@ class Quadratic(ScalarPotential):
     def is_identically_zero(self):
         return self.a == 0.0
 
-    def cloud_fields(self, x, wx, y, wy, energy=False):
-        """Exact pair fields between weighted point clouds, by moments.
+    def _bind(self, wx, wy, d):
+        """Exact pair sums by moments, in O(N + L) instead of O(N L) (see
+        ``ScalarPotential._bind``): the fields are a W_y (x - mean_y) and
+        a W_x (y - mean_x), E = (a/2) W_x W_y (|mean_x - mean_y|^2 + var_x + var_y),
+        and a cloud on itself has a W (x - mean) and E = a W^2 var."""
+        Wx = float(wx.sum())
+        if wy is None:
+            def moments(x, y, energy, tables):
+                c = _weighted_mean(x, wx, Wx)
+                f = self.a * Wx * (x - c)
+                return f, None, (float(self.a * Wx * Wx * _weighted_var(x, wx, Wx, c))
+                                 if energy else None)
+            return moments, ()
+        Wy = float(wy.sum())
 
-        As ``ScalarPotential.cloud_fields``; for this kernel the fields are
-        a W_y (x - mean_y) and a W_x (y - mean_x), O(N + L) instead of O(N L),
-        and E = (a/2) W_x W_y (|mean_x - mean_y|^2 + var_x + var_y).
-        """
-        Wx, cx = _weighted_mean(x, wx)
-        Wy, cy = _weighted_mean(y, wy)
-        f = self.a * Wy * (x - cy), self.a * Wx * (y - cx)
-        if not energy:
-            return f
-        dc = cx - cy
-        spread = float(dc @ dc) + _weighted_var(x, wx, Wx, cx) + _weighted_var(y, wy, Wy, cy)
-        return f + (float(0.5 * self.a * Wx * Wy * spread),)
-
-    def self_fields(self, x, w, energy=False):
-        """Exact self field a W (x - mean) and energy a W^2 var, as ``cloud_fields(x, w, x, w)``."""
-        W, c = _weighted_mean(x, w)
-        f = self.a * W * (x - c)
-        return (f, float(self.a * W * W * _weighted_var(x, w, W, c))) if energy else f
+        def cross_moments(x, y, energy, tables):
+            cx, cy = _weighted_mean(x, wx, Wx), _weighted_mean(y, wy, Wy)
+            fx, fy = self.a * Wy * (x - cy), self.a * Wx * (y - cx)
+            if not energy:
+                return fx, fy, None
+            dc = cx - cy
+            spread = float(dc @ dc) + _weighted_var(x, wx, Wx, cx) + _weighted_var(y, wy, Wy, cy)
+            return fx, fy, float(0.5 * self.a * Wx * Wy * spread)
+        return cross_moments, ()
 
 
-def _weighted_mean(x: np.ndarray, w: np.ndarray):
+def _weighted_mean(x: np.ndarray, w: np.ndarray, total: float):
     # Offsets from the first point keep the mean exact for coincident points
     # and accurate for clouds far from the origin.
-    total = float(w.sum())
     ref = x[0]
-    return total, ref + w @ (x - ref) / total
+    return ref + w @ (x - ref) / total
 
 
 def _weighted_var(x, w, total, center) -> float:
@@ -346,8 +221,7 @@ class _Profile:
         self.value_coef, self.deriv_coef = tuple(pieces.T.copy()), tuple(dpieces.T.copy())
         self.value = self._expansion(pieces, odd=False)
         self.deriv = self._expansion(dpieces, odd=True)
-        self._left = -self.starts[::-1, None]  # x - b_j, last piece first
-        self._right = self.starts[1:, None]
+        self._kept = (0,)  # the last kept-piece count K and what _read takes; see _pieces
 
     def at(self, coef, s):
         """The pieces ``coef`` (``value_coef`` or ``deriv_coef``) at finite s >= 0;
@@ -392,43 +266,72 @@ class _Profile:
                 H[k, s] *= rho * sigma ** k * (-sigma) ** s
         return H
 
+    def _rows(self, value) -> int:
+        """Moment rows of a table: W's if ``value``, else the fewer of W'."""
+        return len(self.value if value else self.deriv)
+
+    def _pieces(self, K: int):
+        """(W' expansion, W expansion, left knot offsets -b_j from the last piece, right ones
+        b_j) of the first K pieces, kept for the next read of as many pieces."""
+        kept = self._kept  # one read: a concurrent sum may replace it
+        if kept[0] != K:
+            K0 = len(self.starts) - K
+            kept = self._kept = (K, *(H[:, :, K0:K0 + 2 * K].reshape(len(H), -1)
+                                      for H in (self.deriv, self.value)),
+                                 -self.starts[K - 1::-1, None], self.starts[1:K, None])
+        return kept[1:]
+
+    def _source(self, y, w):
+        """(Y, c, weights) of sources y (L, 1) with weights w: about c, a point of y, and
+        sorted unless the profile is even."""
+        y0, w0 = y[:, 0], w
+        if not self.even and (y0[1:] < y0[:-1]).any():  # quantile clouds arrive sorted
+            order = y0.argsort()
+            y0, w0 = y0[order], w0[order]
+        c = y0[len(y0) // 2]
+        return y0 - c, c, w0
+
+    def table(self, y, w, value):
+        """(Y, c, S) of sources y with weights w (see _source): S (D, L + 1) the prefix sums of
+        their moment rows, W's rows if ``value``; what ``_read`` takes."""
+        Y, c, w0 = self._source(y, w)
+        return Y, c, _prefix_sums(_powers(Y, w0, np.empty((self._rows(value), len(Y)))))
+
     def sums(self, x, y, w, value=False):
         """(sum_l w_l W'(x_k - y_l), sum_l w_l W(x_k - y_l) if ``value`` else None) for each x_k.
 
         ``x`` (N, 1) are the targets, ``y`` (L, 1) the sources with weights ``w``;
         each sum is (N,).  Both are read off one moment table: W' (``self.deriv``)
         takes its leading rows, W (``self.value``) all of them.  Coincident
-        points give an exactly zero field, as c is a point of y.  The (windows,
-        targets) tables are built in tiles of at most ``_TILE`` entries.
+        points give an exactly zero field, as c is a point of y.
         """
-        Hs = (self.deriv, self.value) if value else (self.deriv,)
-        D = len(Hs[-1])
-        y0, w0 = y[:, 0], w
-        if not self.even and np.any(y0[1:] < y0[:-1]):  # quantile clouds arrive sorted
-            order = y0.argsort()
-            y0, w0 = y0[order], w0[order]
-        c = y0[len(y0) // 2]
-        Y = y0 - c
+        if not self.even:
+            return self._read(x, *self.table(y, w, value), value)
+        Y, c, w0 = self._source(y, w)
+        moments = _powers(Y, w0, np.empty((self._rows(value), len(Y)))).sum(axis=1)
         X = x[:, 0] - c
-        powers = np.empty((D, len(Y)))
-        powers[0] = w0
-        for r in range(1, D):
-            np.multiply(powers[r - 1], Y, out=powers[r])
-        if self.even:
-            moments = powers.sum(axis=1)
-            out = [_horner_rows(H[:, :, 0] @ moments[:len(H)], X) for H in Hs]
-            return out[0], (out[1] if value else None)
-        S = _prefix_sums(powers)
-        # A piece that starts beyond the largest target-source distance holds
-        # no pair.  Dropping such pieces leaves the last one kept unbounded,
-        # which changes no window.
-        span = max(X.max(), Y[-1]) - min(X.min(), Y[0])
-        K = int(self.starts.searchsorted(span, side="right"))
-        K0 = len(self.starts) - K
-        Hs = [H[:, :, K0:K0 + 2 * K].reshape(len(H), -1) for H in Hs]
-        left, right = self._left[K0:], self._right[:K - 1]
+        out = [_horner_rows(H[:, :, 0] @ moments[:len(H)], X)
+               for H in ((self.deriv, self.value) if value else (self.deriv,))]
+        return out[0], (out[1] if value else None)
+
+    def _read(self, x, Y, c, S, value):
+        """``sums`` at targets x from a ``table`` (Y, c, S) of the sources.
+
+        Only the first K pieces are read: a piece that starts beyond the
+        largest target-source distance holds no pair, and dropping such pieces
+        leaves the last one kept unbounded, which changes no window.  The
+        (windows, targets) tables are built in tiles of at most ``_TILE``
+        entries.
+        """
+        X = x[:, 0] - c
+        K = 1
+        if len(self.starts) > 1:
+            span = max(X.max(), Y[-1]) - min(X.min(), Y[0])
+            K = int(self.starts.searchsorted(span, side="right"))
+        deriv, val, left, right = self._pieces(K)
+        cols = max(1, engine._TILE // (2 * K + 1))
+        Hs = (deriv, val) if value else (deriv,)
         out = [np.empty(len(X)) for _ in Hs]
-        cols = max(1, _TILE // (2 * K + 1))
         for k0 in range(0, len(X), cols):
             Xt = X[k0:k0 + cols]
             # Window edges as indices into Y: y <= x - b_j (s >= b_j on the left),
@@ -436,7 +339,8 @@ class _Profile:
             edges = np.empty((2 * K + 1, len(Xt)), dtype=np.intp)
             edges[0] = 0
             edges[1:K + 1] = Y.searchsorted(Xt + left, side="right")
-            edges[K + 1:-1] = Y.searchsorted(Xt + right, side="left")
+            if K > 1:
+                edges[K + 1:-1] = Y.searchsorted(Xt + right, side="left")
             edges[-1] = len(Y)
             at = S.take(edges, axis=1)
             windows = at[:, 1:] - at[:, :-1]
@@ -445,57 +349,36 @@ class _Profile:
         return out[0], (out[1] if value else None)
 
 
-def _horner_rows(E, X):
-    """sum_k E[k] X^k for E (D,) or (D, N), D >= 2, against X (N,)."""
-    out = E[-1] * X
-    for e in E[-2:0:-1]:
-        out += e
-        out *= X
-    out += E[0]
-    return out
-
-
-def _prefix_sums(v: np.ndarray) -> np.ndarray:
-    """Prefix sums (D, L + 1) of the rows of v (D, L), from 0, in blocks of about sqrt(L).
-
-    A running sum's rounding error grows like L eps; summing within blocks and
-    then across block totals keeps it near 2 sqrt(L) eps.
-    """
-    D, L = v.shape
-    B = max(1, math.isqrt(L))
-    nb = -(-L // B)
-    S = np.zeros((D, nb * B + 1))
-    S[:, 1:L + 1] = v
-    blocks = S[:, 1:].reshape(D, nb, B)  # a view: only the unit-stride axis is split
-    np.cumsum(blocks, axis=2, out=blocks)
-    blocks[:, 1:] += blocks[:, :-1, -1:].cumsum(axis=1)
-    return S[:, :L + 1]
-
-
 class _PiecewisePolynomial(ScalarPotential):
     """A kind whose instances may carry a ``_Profile``: in d = 1 those are summed
     exactly by moments, in O((N + L) K log L) for K pieces; others directly."""
 
     _profile = None
 
-    def _by_moments(self, x) -> bool:
-        return self._profile is not None and x.shape[1] == 1
-
     def is_identically_zero(self):
         return self._profile.zero
 
-    def cloud_fields(self, x, wx, y, wy, energy=False):
-        if not self._by_moments(x):
-            return super().cloud_fields(x, wx, y, wy, energy)
-        fx, vx = self._profile.sums(x, y, wy, energy)
-        f = fx[:, None], self._profile.sums(y, x, wx)[0][:, None]
-        return f + (float(wx @ vx),) if energy else f
+    def _bind(self, wx, wy, d):
+        p = self._profile
+        if p is None or d != 1:
+            return super()._bind(wx, wy, d)
+        if p.even:  # whole-cloud moments: no table to share
+            def whole(x, y, energy, tables):
+                fx, vx = p.sums(x, y, wx if wy is None else wy, energy)
+                fy = None if wy is None else p.sums(y, x, wx)[0][:, None]
+                return fx[:, None], fy, (float(wx @ vx) if energy else None)
+            return whole, ()
+        if wy is None:
+            def prefix_self(x, y, energy, tables):
+                f, v = p._read(x, *tables[0], energy)
+                return f[:, None], None, (float(wx @ v) if energy else None)
+            return prefix_self, ((0, True),)
 
-    def self_fields(self, x, w, energy=False):
-        if not self._by_moments(x):
-            return super().self_fields(x, w, energy)
-        f, v = self._profile.sums(x, x, w, energy)
-        return (f[:, None], float(w @ v)) if energy else f[:, None]
+        def prefix(x, y, energy, tables):
+            fx, vx = p._read(x, *tables[0], energy)
+            fy = p._read(y, *tables[1], False)[0][:, None]
+            return fx[:, None], fy, (float(wx @ vx) if energy else None)
+        return prefix, ((1, True), (0, False))
 
 
 @dataclass(frozen=True)
@@ -815,35 +698,6 @@ def matrix_from_entries(entries: Sequence[Sequence[ScalarPotential]], kappa,
             grid[i][j] = entries[i][j]
             grid[j][i] = entries[i][j]
     return PotentialMatrix(tuple(tuple(row) for row in grid), kappa, growth, confining)
-
-
-def pair_fields(pm: PotentialMatrix, xs, ws, energy=False):
-    """Interaction fields F_i[k] = sum_j sum_l ws[j][l] grad W_ij(xs[i][k] - xs[j][l]).
-
-    ``xs[i]`` (N_i, d) holds the points of species i and ``ws[i]`` (N_i,)
-    their weights; returns one (N_i, d) array per species.  Each pair i < j
-    is evaluated once and feeds both species; each pair i == j takes the
-    kernel's self path; zero kernels are skipped.  With ``energy``, returns
-    (fields, E), E = (1/2) sum_ij sum_kl ws[i][k] ws[j][l] W_ij(xs[i][k] - xs[j][l])
-    from the same kernel evaluations.
-    """
-    out = [np.zeros_like(x) for x in xs]
-    total = 0.0
-    for i in range(pm.n):
-        for j in range(i, pm.n):
-            pot = pm.entries[i][j]
-            if pot.is_identically_zero():
-                continue
-            if j == i:
-                sums = pot.self_fields(xs[i], ws[i], energy=energy)
-                out[i] += sums[0] if energy else sums
-                total += sums[1] if energy else 0.0
-            else:
-                sums = pot.cloud_fields(xs[i], ws[i], xs[j], ws[j], energy=energy)
-                out[i] += sums[0]
-                out[j] += sums[1]
-                total += 2.0 * sums[2] if energy else 0.0
-    return (out, float(0.5 * total)) if energy else out
 
 
 def _sample_grid(interval, samples: int) -> tuple[np.ndarray, float]:

@@ -6,9 +6,9 @@ The state advances by
 
 the midpoint-quadrature discretization of the nonlocal velocity field; the
 quadrature is exact for atomic (equal-mass-cell) data, so such states evolve
-as exact particle solutions.  The velocity comes from the engine
-``potentials.pair_fields`` on the grid as clouds of M points of weight p_i / M,
-the call a particle state makes, so both agree bit-exactly on such data.
+as exact particle solutions.  The velocity comes from the engine on the grid
+as clouds of M points of weight p_i / M, the pass a particle state makes, so
+both agree bit-exactly on such data.
 
 Explicit schemes only (forward Euler and classical RK4): the velocity field
 is bounded and Lipschitz on bounded states, so a step-size bound derived from
@@ -17,11 +17,13 @@ quantile vectors is preserved by the continuous flow but can be crossed by a
 discrete step; per-species sorting is the metric projection back onto the
 monotone cone and is a no-op when nothing crossed.
 
-Both solvers are one ``run``: one time loop steps a quantile or a particle
-state's weighted clouds, builds a state object only for a record, records a
-``diagnostics.record`` from that state's single engine pass, and returns one
-``Trajectory``.  The sort repair applies to quantile states only.  ``step`` is
-a run of one step.
+Both solvers are one ``run``: it builds one ``engine.InteractionPlan`` for
+the state's layout and steps one stacked (sum N_i, d) array of all species'
+points, so each RK stage, the finiteness check, the crossing check and the
+sort repair is one numpy call for all species.  It builds a state object
+only for a record, records a ``diagnostics.record`` from that state's
+single engine pass, and returns one ``Trajectory``.  The sort repair applies
+to quantile states only.  ``step`` is a run of one step.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from . import diagnostics
 from .convexity import lambda0
 from .errors import NumericsError
 from .measures import QuantileState
-from .potentials import (_TILE, PotentialMatrix, _grad_block, _tile_cols, _tile_rows,
-                         _value_block, estimate_growth_bound, pair_fields)
+from .engine import (_TILE, InteractionPlan, _grad_block, _tile_cols, _tile_rows,
+                     _value_block)
+from .potentials import PotentialMatrix, estimate_growth_bound
 
 SCHEMES = ("euler", "rk4")
 REPAIRS = ("none", "sort")
@@ -115,18 +118,16 @@ class Trajectory:
         return np.array([r.t for r in self.records]), np.array(vals)
 
 
-def _velocity(xs, ws, pm: PotentialMatrix, m: np.ndarray, field=None) -> list:
-    """Velocities -m_i F_i of weighted clouds, F from ``pair_fields`` unless given.
+def _velocity(plan: InteractionPlan, X, F):
+    """Velocities -m_i F_i of the stacked points X from their stacked field F.
 
-    A non-finite velocity raises NumericsError with the witness of ``xs``.
+    A non-finite velocity raises NumericsError with the witness of X.
     """
-    if pm.n != len(xs):
-        raise ValueError(f"matrix is {pm.n}x{pm.n} but state has n={len(xs)} species")
-    with np.errstate(**_QUIET):
-        v = [-m[i] * f for i, f in enumerate(pair_fields(pm, xs, ws) if field is None else field)]
-    if not all(np.all(np.isfinite(a)) for a in v):
-        raise NumericsError("non-finite velocity", witness=_nonfinite_witness(xs, pm))
-    return v
+    V = F * plan.rate
+    if not np.isfinite(V).all():
+        raise NumericsError("non-finite velocity", witness=_nonfinite_witness(plan.split(X),
+                                                                               plan.pm))
+    return V
 
 
 def _nonfinite_witness(xs, pm: PotentialMatrix, block=_grad_block) -> dict:
@@ -180,7 +181,11 @@ def velocity(state, pm: PotentialMatrix) -> list:
 
     A non-finite velocity raises NumericsError with a witness.
     """
-    return _velocity(*state.clouds(), pm, state.params.m)
+    xs, ws = state.clouds()
+    plan = InteractionPlan(pm, ws, state.params.d, state.params.m)
+    X = np.concatenate(xs)
+    with np.errstate(**_QUIET):
+        return plan.split(_velocity(plan, X, plan.fields(X)))
 
 
 def stable_dt(state, pm: PotentialMatrix, cfl_safety: float = 0.2) -> float:
@@ -244,8 +249,9 @@ def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = No
 def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     """Integrate a quantile or particle state to t_end, recording states and diagnostics.
 
-    The loop steps the state's weighted clouds and builds a state object only
-    for a record.  Each state's first stage is one engine pass, which for a
+    The loop steps the stacked points of the state's weighted clouds with one
+    interaction plan, and builds a state object only for a record.  Each
+    state's first stage is one engine pass, which for a
     recorded state also gives its energy and the field of its dissipation;
     that pass is checked like every RK stage.  After a step a crossing of a
     quantile state's cells is counted and, with repair="sort", sorted away.
@@ -257,44 +263,45 @@ def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     positive = lambda0(pm.kappa, state0.params).lambda0 > 0.0
     ground = diagnostics.concentrated(state0) if positive else None
     xs, ws = state0.clouds()
-    xs, m = list(xs), state0.params.m
+    plan = InteractionPlan(pm, ws, state0.params.d, state0.params.m)
+    X = np.concatenate(xs)
     quantile = isinstance(state0, QuantileState)
 
-    def f(ys):
-        return _velocity(ys, ws, pm, m)
+    def f(Y):
+        return _velocity(plan, Y, plan.fields(Y))
 
     try:
-        for t, due, h in _step_schedule(cfg, traj.dt):
-            # The field is checked below; the other recorded values once the run ends.
-            with np.errstate(**_QUIET):
-                sums = pair_fields(pm, xs, ws, due)
+        # The field is checked in _velocity; the other recorded values once the run ends.
+        with np.errstate(**_QUIET):
+            for t, due, h in _step_schedule(cfg, traj.dt):
+                sums = plan.fields(X, due)
                 if due:
-                    state = state0.with_clouds(xs) if traj.states else state0
-                    traj.records.append(diagnostics.record(state, pm, t, ground, sums))
+                    state = state0.with_clouds(plan.split(X)) if traj.states else state0
+                    traj.records.append(diagnostics.record(state, pm, t, ground,
+                                                           (plan.split(sums[0]), sums[1])))
                     traj.times.append(t)
                     traj.states.append(state)
-            k1 = _velocity(xs, ws, pm, m, sums[0] if due else sums)
-            if h is None:
-                break
-            with np.errstate(**_QUIET):
+                k1 = _velocity(plan, X, sums[0] if due else sums)
+                if h is None:
+                    break
                 if cfg.scheme == "euler":
-                    xs = [x + h * a for x, a in zip(xs, k1)]
+                    X = X + h * k1
                 else:
-                    k2 = f([x + 0.5 * h * a for x, a in zip(xs, k1)])
-                    k3 = f([x + 0.5 * h * a for x, a in zip(xs, k2)])
-                    k4 = f([x + h * a for x, a in zip(xs, k3)])
-                    xs = [x + h / 6.0 * (a + 2.0 * b + 2.0 * c + e)
-                          for x, a, b, c, e in zip(xs, k1, k2, k3, k4)]
-            # Free this step's stages before the next engine pass allocates its tiles.
-            sums = k1 = k2 = k3 = k4 = None
-            if not all(np.all(np.isfinite(x)) for x in xs):
-                raise NumericsError(f"non-finite state after step of dt={h}",
-                                    witness=_nonfinite_witness(xs, pm))
-            if quantile and any(np.any(np.diff(x[:, 0]) < 0.0) for x in xs):
-                traj.monotonicity_violations += 1
-                if cfg.repair == "sort":
-                    xs = [np.sort(x, axis=0) for x in xs]
-                    traj.repair_events += 1
+                    k2 = f(X + 0.5 * h * k1)
+                    k3 = f(X + 0.5 * h * k2)
+                    k4 = f(X + h * k3)
+                    X = X + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # Free this step's stages before the next engine pass allocates its tiles.
+                sums = k1 = k2 = k3 = k4 = None
+                if not np.isfinite(X).all():
+                    raise NumericsError(f"non-finite state after step of dt={h}",
+                                        witness=_nonfinite_witness(plan.split(X), pm))
+                # A quantile state's cells cross in a row of its (n, M) grid.
+                if quantile and (np.diff(X.reshape(state0.n, -1)) < 0.0).any():
+                    traj.monotonicity_violations += 1
+                    if cfg.repair == "sort":
+                        X = np.sort(X.reshape(state0.n, -1)).reshape(X.shape)
+                        traj.repair_events += 1
     except NumericsError as err:
         err.partial = traj
         raise

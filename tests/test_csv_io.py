@@ -246,6 +246,22 @@ def test_reader_rejects_non_finite_times(tmp_path, chunk):
         read_quantile_csv(path, one)
 
 
+def test_reader_names_a_non_finite_value(tmp_path, chunk):
+    # The value's time, species and cell; before the fault of a later snapshot, after one of
+    # its own snapshot.
+    two = mg.SystemParams(m=[1.0, 1.0], p=[1.0, 1.0], E=[0.0])
+    path = tmp_path / "traj.csv"
+    rows = ["0.0,0,0,1.0", "0.0,0,1,2.0", "0.0,1,0,1.0", "0.0,1,1,2.0",
+            "0.01,0,0,1.0", "0.01,0,1,2.0", "0.01,1,0,nan", "0.01,1,1,-inf",
+            "0.02,0,0,1.0"]
+    path.write_text("t,species,cell,u\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"^snapshot t=0\.01: species 1 cell 0 is not finite$"):
+        read_quantile_csv(path, two)
+    path.write_text("t,species,cell,u\n" + "\n".join(rows[:6] + rows[7:]) + "\n")
+    with pytest.raises(ValueError, match=r"^snapshot t=0\.01 is incomplete: 3 of 2x2 values$"):
+        read_quantile_csv(path, two)
+
+
 def test_reader_ends_on_a_full_chunk(tmp_path, chunk):
     # Two snapshots of `chunk` cells fill two chunks exactly; the third read finds no row.
     one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])

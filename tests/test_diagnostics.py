@@ -5,7 +5,7 @@ import multiagg as mg
 from multiagg import diagnostics
 from multiagg.diagnostics import (dissipation, energy, fit_decay_rate, ground_state,
                                   steady_state_check, support_and_diameter)
-from multiagg.potentials import pair_fields
+from multiagg.engine import pair_fields
 from multiagg.quantile_solver import SolverConfig, run, velocity
 
 

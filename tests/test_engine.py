@@ -10,7 +10,7 @@ import pytest
 
 import multiagg as mg
 from multiagg.measures import particles_from_quantile
-from multiagg.potentials import pair_fields
+from multiagg.engine import pair_fields
 from multiagg.quantile_solver import velocity
 
 DIRECT_KINDS = [

@@ -14,7 +14,8 @@ import pytest
 
 import multiagg as mg
 from multiagg import diagnostics, quantile_solver
-from multiagg.potentials import PotentialMatrix, ScalarPotential, pair_fields
+from multiagg.engine import pair_fields
+from multiagg.potentials import PotentialMatrix, ScalarPotential
 
 TABULATED = mg.Tabulated(knots=(0.0, 1.0, 2.0), values=(0.0, 0.4, 1.9), derivs=(0.0, 1.0, 2.0))
 OTHER_KINDS = (
@@ -107,9 +108,7 @@ def test_quantile_sums_match_direct(n, mixed, offset):
     pm = random_matrix(rng, n, mixed)
     oracle = as_direct(pm)
     qs = quantile_state(rng, n, 48, offset)
-    m = qs.params.m
-    assert_oracle_close(quantile_solver._velocity(*qs.clouds(), pm, m),
-                        quantile_solver._velocity(*qs.clouds(), oracle, m))
+    assert_oracle_close(quantile_solver.velocity(qs, pm), quantile_solver.velocity(qs, oracle))
     assert_oracle_close(pair_fields(pm, *qs.clouds()), pair_fields(oracle, *qs.clouds()))
     assert_oracle_close(diagnostics.energy(qs, pm), diagnostics.energy(qs, oracle))
 
@@ -121,8 +120,8 @@ def test_particle_sums_match_direct(n, mixed, offset, d):
     pm = random_matrix(rng, n, mixed)
     oracle = as_direct(pm)
     ps = particle_state(rng, n, d, offset)
-    fast = quantile_solver._velocity(ps.positions, ps.masses, pm, ps.params.m)
-    direct = quantile_solver._velocity(ps.positions, ps.masses, oracle, ps.params.m)
+    fast = quantile_solver.velocity(ps, pm)
+    direct = quantile_solver.velocity(ps, oracle)
     for a, b in zip(fast, direct):
         assert_oracle_close(a, b)
     assert_oracle_close(diagnostics.energy(ps, pm), diagnostics.energy(ps, oracle))
@@ -143,11 +142,11 @@ def test_quadratic_entries_never_evaluated_pointwise():
     pm = mg.matrix_from_entries([[_NoPointwise(2.0), _NoPointwise(-0.5)],
                                  [None, _NoPointwise(1.0)]], kappa=np.zeros((2, 2)))
     qs = quantile_state(rng, 2, 16, 0.0)
-    quantile_solver._velocity(*qs.clouds(), pm, qs.params.m)
+    quantile_solver.velocity(qs, pm)
     pair_fields(pm, *qs.clouds())
     diagnostics.energy(qs, pm)
     ps = particle_state(rng, 2, 2, 0.0)
-    quantile_solver._velocity(ps.positions, ps.masses, pm, ps.params.m)
+    quantile_solver.velocity(ps, pm)
     diagnostics.energy(ps, pm)
 
 

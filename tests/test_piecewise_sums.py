@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagg as mg
-from multiagg import potentials
+from multiagg import engine, potentials
 from multiagg.potentials import ScalarPotential
 
 KNOTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -115,7 +115,7 @@ def test_tables_are_tiled_like_one_block(monkeypatch, kind):
     w = rng.uniform(0.1, 1.0, 300)
     whole = kind.self_fields(x, w, energy=True)
     # A few targets per tile, so the tables of one sum span many tiles.
-    monkeypatch.setattr(potentials, "_TILE", 64)
+    monkeypatch.setattr(engine, "_TILE", 64)
     assert_oracle_close(kind.self_fields(x, w), whole[0])
     assert_oracle_close(kind.self_fields(x, w, energy=True)[1], whole[1])
 
@@ -169,8 +169,8 @@ def test_one_dimensional_sums_never_evaluate_pointwise(kind):
     rng = np.random.default_rng(4)
     xs = [rng.normal(0.0, 1.0, (20, 1)), rng.normal(0.5, 1.0, (9, 1))]
     ws = [np.full(20, 0.05), np.full(9, 1.0 / 9.0)]
-    potentials.pair_fields(pm, xs, ws)
-    potentials.pair_fields(pm, xs, ws, energy=True)
+    engine.pair_fields(pm, xs, ws)
+    engine.pair_fields(pm, xs, ws, energy=True)
 
 
 @pytest.mark.parametrize("kind, tables",
@@ -193,6 +193,39 @@ def test_field_and_energy_share_one_moment_table_per_source(monkeypatch, kind, t
     built.clear()
     kind.cloud_fields(x, wx, y, wy, energy=True)
     assert len(built) == 2 * tables
+
+
+@pytest.mark.parametrize("sizes, tables, with_energy",
+                         [((24, 24, 24), [(9, 24)], [(11, 24)]),
+                          ((24, 24, 10), [(6, 24), (3, 10)], [(7, 24), (4, 10)])])
+def test_a_pass_stacks_the_prefix_tables_of_one_size(monkeypatch, sizes, tables, with_energy):
+    # A Tabulated self pair reads one table, a Power q = 3 cross pair one per cloud, each
+    # of 3 rows for W' and 4 with W.  A pass takes the prefix sums of each size's tables in
+    # one call, and its fields and energy are the pairs' own sums bit for bit.
+    power = mg.Power(3.0, 0.5)
+    pm = mg.matrix_from_entries([[mg.Zero(), power, mg.Zero()], [None, mg.Zero(), mg.Zero()],
+                                 [None, None, SMOOTH_TAB]], kappa=np.zeros((3, 3)))
+    rng = np.random.default_rng(7)
+    xs = [np.sort(rng.normal(0.0, 1.0, (N, 1)), axis=0) for N in sizes]
+    ws = [rng.uniform(0.1, 1.0, N) for N in sizes]
+    built = []
+    original = engine._prefix_sums
+
+    def counted(v):
+        built.append(v.shape)
+        return original(v)
+
+    monkeypatch.setattr(engine, "_prefix_sums", counted)
+    fields = engine.pair_fields(pm, xs, ws)
+    assert built == tables
+    built.clear()
+    fields_e, energy = engine.pair_fields(pm, xs, ws, energy=True)
+    assert built == with_energy
+    f0, f1, e01 = power.cloud_fields(xs[0], ws[0], xs[1], ws[1], energy=True)
+    f2, e2 = SMOOTH_TAB.self_fields(xs[2], ws[2], energy=True)
+    for f in (fields, fields_e):
+        assert all(np.array_equal(a, b) for a, b in zip(f, (f0, f1, f2)))
+    assert energy == float(0.5 * (2.0 * e01 + e2))
 
 
 @pytest.mark.parametrize("kind", [mg.Power(2.5, 0.5), mg.Power(6.0, 0.1), mg.Power(3.5, 1.0),

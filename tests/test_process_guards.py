@@ -32,7 +32,8 @@ def test_cli_import_leaves_scipy_out():
 FAULTS = """
 import resource
 import numpy as np
-from multiagg.potentials import GaussianAR, matrix_from_entries, pair_fields
+from multiagg.engine import pair_fields
+from multiagg.potentials import GaussianAR, matrix_from_entries
 
 g = GaussianAR(1.0, 1.0, 0.6, 0.2)
 pm = matrix_from_entries([[g, g], [g, g]], np.zeros((2, 2)))

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagg as mg
-from multiagg import potentials
+from multiagg import engine
 
 DIRECT_KINDS = [
     mg.GaussianAR(1.0, 1.0, 0.6, 0.2),
@@ -48,7 +48,7 @@ def cloud(N, d, seed):
 def test_self_path_matches_two_sided_direct_sum(monkeypatch, kind, d, N, tile):
     if tile is not None:
         # N > _TILE: every tile before the last 64 rows holds a single row.
-        monkeypatch.setattr(potentials, "_TILE", tile)
+        monkeypatch.setattr(engine, "_TILE", tile)
     x, w = cloud(N, d, seed=N + d)
     direct_f, _ = kind.cloud_fields(x, w, x.copy(), w)
     direct_e = kind.cloud_fields(x, w, x.copy(), w, energy=True)[2]
@@ -82,7 +82,7 @@ def close(a, b):
 @pytest.mark.parametrize("tile", [None, 64], ids=["default-tile", "tile64"])
 def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, tile):
     if tile is not None:
-        monkeypatch.setattr(potentials, "_TILE", tile)
+        monkeypatch.setattr(engine, "_TILE", tile)
     x, wx = cloud(120, d, seed=d)
     y, wy = cloud(70, d, seed=d + 10)
     x[7] = x[3]  # a repeated point of the self cloud
@@ -115,7 +115,7 @@ SLOPED_AT_ZERO.append(mg.GaussianAR(1.0, 1.0, 0.6, 1e-9))
 @pytest.mark.parametrize("tile", [None, 64], ids=["default-tile", "tile64"])
 def test_self_pairs_add_nothing_in_d_above_one(monkeypatch, kind, d, offset, tile):
     if tile is not None:
-        monkeypatch.setattr(potentials, "_TILE", tile)
+        monkeypatch.setattr(engine, "_TILE", tile)
     x, w = cloud(200, d, seed=d + 20)
     x = x + offset
     naive = naive_fields(kind, x, x, w)
@@ -144,7 +144,7 @@ def test_tile_differences_equal_the_broadcast_bit_for_bit(d):
     rng = np.random.default_rng(d)
     x = rng.choice(EDGES, (60, d))
     y = np.concatenate([rng.choice(EDGES, (40, d)), rng.normal(0.0, 1.0, (30, d))])
-    A, B = potentials._tile_rows(x), potentials._tile_cols(y)
+    A, B = engine._tile_rows(x), engine._tile_cols(y)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1, l0 in [(0, 60, 0), (7, 31, 13), (59, 60, 69)]:
             r2 = None
@@ -153,7 +153,7 @@ def test_tile_differences_equal_the_broadcast_bit_for_bit(d):
                 assert same_bits(A[a, k0:k1] @ B[a, :, l0:], diff)
                 diff *= diff
                 r2 = diff if r2 is None else r2 + diff
-            assert same_bits(potentials._sq_dist(A[:, k0:k1], B[:, :, l0:]), r2)
+            assert same_bits(engine._sq_dist(A[:, k0:k1], B[:, :, l0:]), r2)
 
 
 @pytest.mark.parametrize("kind", DIRECT_KINDS[:2] + [mg.Power(1.5, 0.5)], ids=kind_id)
@@ -181,8 +181,8 @@ def test_fused_pass_equals_the_separate_sums_bit_for_bit(d):
     entries = [[kinds[(i + j) % n] for j in range(n)] for i in range(n)]
     pm = mg.matrix_from_entries(entries, kappa=np.zeros((n, n)))
     xs, ws = zip(*(cloud(17 + 5 * i, d, seed=i) for i in range(n)))
-    fields, energy = potentials.pair_fields(pm, xs, ws, energy=True)
-    for f, g in zip(fields, potentials.pair_fields(pm, xs, ws)):
+    fields, energy = engine.pair_fields(pm, xs, ws, energy=True)
+    for f, g in zip(fields, engine.pair_fields(pm, xs, ws)):
         assert np.array_equal(f, g)
     params = mg.SystemParams(m=np.ones(n), p=[w.sum() for w in ws], E=np.zeros(d), d=d)
     assert energy == mg.energy(mg.ParticleState(list(xs), list(ws), params), pm)
@@ -205,14 +205,15 @@ def test_engine_takes_the_self_path_on_diagonal_pairs(monkeypatch):
                                 kappa=np.zeros((2, 2)))
     (x0, w0), (x1, w1) = cloud(40, 2, seed=1), cloud(30, 2, seed=2)
     seen = []
-    original = type(kind).self_fields
+    original = type(kind)._bind
 
-    def counted(self, x, w, **kwargs):
-        seen.append(len(x))
-        return original(self, x, w, **kwargs)
+    def counted(self, wx, wy, d):
+        if wy is None:  # a self sum
+            seen.append(len(wx))
+        return original(self, wx, wy, d)
 
-    monkeypatch.setattr(type(kind), "self_fields", counted)
-    potentials.pair_fields(pm, [x0, x1], [w0, w1])
+    monkeypatch.setattr(type(kind), "_bind", counted)
+    engine.pair_fields(pm, [x0, x1], [w0, w1])
     assert seen == [40, 30]
 
 
