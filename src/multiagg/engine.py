@@ -6,8 +6,9 @@ species sizes, weights and d.  A pass (``fields``) sums every pair over one
 stacked array of all species' points.  A pair i < j is evaluated once and
 feeds both species; a pair (i, i) takes the self path; with ``energy`` the
 pass also returns E from the same kernel evaluations.  ``run`` builds one
-plan per call, and ``pair_fields`` is the one-off pass of a throwaway plan.
-The sum methods (each kernel's ``_bind``):
+plan per call, and ``pair_fields`` is the one-off pass of a throwaway plan;
+a plan is the only way into the kernels' sums.  The sum methods (each
+kernel's ``_bind``):
 
 * ``Quadratic``, in any d: closed form from each cloud's mass, mean and
   variance; the masses are taken at bind.
@@ -297,8 +298,9 @@ class InteractionPlan:
         return (F, float(0.5 * total)) if energy else F
 
     def _tables(self, xs, energy) -> list:
-        """Each slot's (Y, c, S), as ``_Profile.table`` gives it, from one ``_prefix_sums``
-        call per source size."""
+        """Each slot's prefix table (Y, c, S), what ``_Profile._read`` takes: its sources Y
+        about c (``_Profile._source``) and S (D, L + 1) the prefix sums of their moment
+        rows, W's rows too with the energy; one ``_prefix_sums`` call per source size."""
         tables = [None] * self._slots
         for L, rows, members in self._stacks[energy]:
             powers = np.empty((rows, L))

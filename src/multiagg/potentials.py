@@ -15,8 +15,8 @@ Each kernel binds its sum between two weighted clouds, or of one cloud on
 itself, to a layout once (``_bind``), as ``engine.InteractionPlan`` asks:
 ``Quadratic`` from each cloud's mass, mean and variance; in d = 1 the kinds
 whose profiles are polynomial pieces in |z| (``_Profile``) from moments of
-the source cloud; every other kind or d directly in row tiles.
-``cloud_fields`` and ``self_fields`` are one such sum, bound for one call.
+the source cloud; every other kind or d directly in row tiles.  A sum is
+taken only through a plan; ``engine.pair_fields`` is its one-off pass.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine
-from .engine import _direct_cross, _direct_self, _horner_rows, _powers, _prefix_sums
+from .engine import _direct_cross, _direct_self, _horner_rows, _powers
 
 def _pointwise(f, z):
     """f on z as a float array; a 0-d z goes in as one element (kernels write in place
@@ -82,23 +82,6 @@ class ScalarPotential:
         """
         return not self.is_identically_zero()
 
-    def cloud_fields(self, x, wx, y, wy, energy=False):
-        """Pair fields between weighted point clouds.
-
-        ``x`` (N, d) with weights ``wx`` (N,), ``y`` (L, d) with ``wy`` (L,).
-        Returns (sum_l wy_l grad W(x_k - y_l), sum_k wx_k grad W(y_l - x_k)).
-        With ``energy``, E = sum_kl wx_k wy_l W(x_k - y_l) from the same pass
-        follows: (fx, fy, E).
-        """
-        fx, fy, e = _pair_sum(self, x, wx, y, wy, energy)
-        return (fx, fy, e) if energy else (fx, fy)
-
-    def self_fields(self, x, w, energy=False):
-        """Field of a cloud on itself, sum_l w_l grad W(x_k - x_l); with ``energy``,
-        E = sum_kl w_k w_l W(x_k - x_l) from the same pass follows: (f, E)."""
-        f, _, e = _pair_sum(self, x, w, x, None, energy)
-        return (f, e) if energy else f
-
     def _bind(self, wx, wy, d):
         """This kernel's sum between clouds of weights ``wx`` and ``wy`` in d, or of the
         first cloud on itself if ``wy`` is None, bound once per layout.
@@ -106,21 +89,12 @@ class ScalarPotential:
         Returns (fn, sources): ``fn(x, y, energy, tables)`` gives (field on x,
         field on y or None, E or None), and ``sources`` names the clouds whose
         prefix tables it reads, as (0 for x or 1 for y, W's rows too with
-        ``energy``), in the order of ``tables`` (see ``_Profile.table``).
+        ``energy``), in the order of ``tables`` (see ``InteractionPlan._tables``).
 
         Here the sums are direct, in row tiles (``engine._direct_self`` and
         ``engine._direct_cross``).
         """
         return (_direct_self(self, wx, d) if wy is None else _direct_cross(self, wx, wy)), ()
-
-
-def _pair_sum(pot, x, wx, y, wy, energy):
-    """``pot``'s pair sum bound for this one call (see ``ScalarPotential._bind``), each
-    prefix table built on its own."""
-    fn, sources = pot._bind(wx, wy, x.shape[1])
-    clouds = (x, wx), (y, wx if wy is None else wy)
-    return fn(x, y, energy, [pot._profile.table(*clouds[k], value and energy)
-                             for k, value in sources])
 
 
 @dataclass(frozen=True)
@@ -291,22 +265,15 @@ class _Profile:
         c = y0[len(y0) // 2]
         return y0 - c, c, w0
 
-    def table(self, y, w, value):
-        """(Y, c, S) of sources y with weights w (see _source): S (D, L + 1) the prefix sums of
-        their moment rows, W's rows if ``value``; what ``_read`` takes."""
-        Y, c, w0 = self._source(y, w)
-        return Y, c, _prefix_sums(_powers(Y, w0, np.empty((self._rows(value), len(Y)))))
-
     def sums(self, x, y, w, value=False):
-        """(sum_l w_l W'(x_k - y_l), sum_l w_l W(x_k - y_l) if ``value`` else None) for each x_k.
+        """(sum_l w_l W'(x_k - y_l), sum_l w_l W(x_k - y_l) if ``value`` else None) for each
+        x_k, of an even profile, from whole-cloud moments.
 
         ``x`` (N, 1) are the targets, ``y`` (L, 1) the sources with weights ``w``;
-        each sum is (N,).  Both are read off one moment table: W' (``self.deriv``)
-        takes its leading rows, W (``self.value``) all of them.  Coincident
+        each sum is (N,).  Both are read off one moment row: W' (``self.deriv``)
+        takes its leading entries, W (``self.value``) all of them.  Coincident
         points give an exactly zero field, as c is a point of y.
         """
-        if not self.even:
-            return self._read(x, *self.table(y, w, value), value)
         Y, c, w0 = self._source(y, w)
         moments = _powers(Y, w0, np.empty((self._rows(value), len(Y)))).sum(axis=1)
         X = x[:, 0] - c
@@ -315,7 +282,8 @@ class _Profile:
         return out[0], (out[1] if value else None)
 
     def _read(self, x, Y, c, S, value):
-        """``sums`` at targets x from a ``table`` (Y, c, S) of the sources.
+        """The sums of an uneven profile at targets x, as ``sums`` gives them, from a prefix
+        table (Y, c, S) of the sources (see ``InteractionPlan._tables``).
 
         Only the first K pieces are read: a piece that starts beyond the
         largest target-source distance holds no pair, and dropping such pieces
@@ -668,24 +636,6 @@ class PotentialMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def _check_indices(self, i: int, j: int):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"species indices ({i}, {j}) out of range for n={self.n}")
-
-    def eval(self, i: int, j: int, z):
-        """Pointwise kernel value W_ij(z); z may be an array."""
-        self._check_indices(i, j)
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"potential evaluated at non-finite displacement z={z!r}")
-        return self.entries[i][j].value(z)
-
-    def grad(self, i: int, j: int, z):
-        """Kernel derivative W'_ij(z); odd in z with grad(0) = 0."""
-        self._check_indices(i, j)
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"potential gradient at non-finite displacement z={z!r}")
-        return self.entries[i][j].deriv(z)
 
 
 def matrix_from_entries(entries: Sequence[Sequence[ScalarPotential]], kappa,

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import diagnostics, measures, quantile_solver
+from . import diagnostics, engine, measures, quantile_solver
 from .config import ExperimentConfig
 from .convexity import confining_check, lambda0
 from .errors import NumericsError
+from .potentials import PotentialMatrix, Zero
 
 
 @dataclass
@@ -216,9 +217,16 @@ def _ground_state(cfg, traj, modulus) -> CheckResult:
                        details={"winf_to_ground": winf, "tolerance": 1e-3})
 
 
+def _cross_energy(pot, x, wx, y, wy) -> float:
+    """sum_kl wx_k wy_l W(x_k - y_l) of one kernel between two clouds: the pass energy of
+    the species [x, y] under the kernels [[0, W], [W, 0]], (1/2)(2 E) = E exactly."""
+    pm = PotentialMatrix(((Zero(), pot), (pot, Zero())), np.zeros((2, 2)))
+    return engine.pair_fields(pm, [x, y], [wx, wy], energy=True)[1]
+
+
 def _gradient_consistency(cfg) -> CheckResult:
     """The engine's field against central differences of the energy in the moved
-    particle's interactions: the ``cloud_fields`` energy of {x_k +- h e_a} against each
+    particle's interactions: the ``_cross_energy`` of {x_k +- h e_a} against each
     species, without particle k."""
     ps = cfg.initial_particles
     if ps is None:
@@ -238,8 +246,8 @@ def _gradient_consistency(cfg) -> CheckResult:
                 plus, minus = x[k:k + 1].copy(), x[k:k + 1].copy()
                 plus[0, axis] += h
                 minus[0, axis] -= h
-                rise = sum(pot.cloud_fields(plus, w[k:k + 1], y, wy, energy=True)[2]
-                           - pot.cloud_fields(minus, w[k:k + 1], y, wy, energy=True)[2]
+                rise = sum(_cross_energy(pot, plus, w[k:k + 1], y, wy)
+                           - _cross_energy(pot, minus, w[k:k + 1], y, wy)
                            for pot, y, wy in pairs)
                 expected = -ps.params.m[i] / w[k] * (rise / (2.0 * h))
                 worst = max(worst, abs(vel[i][k, axis] - expected) / scale)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import multiagg as mg
+from multiagg import engine
 
 
 @pytest.fixture
@@ -29,3 +30,23 @@ def make_uniform_state():
 
 def random_monotone_u(rng, n, M, lo=-1.0, hi=1.0):
     return np.sort(rng.uniform(lo, hi, size=(n, M)), axis=1)
+
+
+def pair_sum(pot, x, wx, y=None, wy=None, energy=False):
+    """One kernel's sum through ``engine.pair_fields``: of the cloud x on itself (one
+    species) if y is None, else between x and y (two species, kernels [[0, W], [W, 0]]).
+
+    Returns (field on x, field on y or None, E or None) with
+    E = sum_kl wx_k wy_l W(x_k - y_l) over every ordered pair, wy = wx on itself:
+    the pass energy (1/2)(2 E) across and twice (1/2) E on itself, both exact.
+    """
+    if y is None:
+        pm, xs, ws = mg.PotentialMatrix(((pot,),), np.zeros((1, 1))), [x], [wx]
+    else:
+        pm = mg.PotentialMatrix(((mg.Zero(), pot), (pot, mg.Zero())), np.zeros((2, 2)))
+        xs, ws = [x, y], [wx, wy]
+    out = engine.pair_fields(pm, xs, ws, energy)
+    fields, e = out if energy else (out, None)
+    if y is None:
+        return fields[0], None, (2.0 * e if energy else None)
+    return fields[0], fields[1], e

@@ -4,7 +4,8 @@
 one-dimensional clouds from moments of the source cloud: whole-cloud moments
 for profiles even in z, prefix moments over sorted windows otherwise.  The
 oracle is the same kernel written as a plain ScalarPotential, which takes the
-direct sum in row tiles.
+direct sum in row tiles.  Every sum goes through ``engine.pair_fields``
+(``conftest.pair_sum``).
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagg as mg
-from multiagg import engine, potentials
+from conftest import pair_sum
+from multiagg import engine
 from multiagg.potentials import ScalarPotential
 
 KNOTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -54,13 +56,13 @@ def assert_oracle_close(fast, direct):
 
 def assert_all_sums_match(kind, x, wx, y, wy):
     plain = Plain(kind)
-    for fast, direct in zip(kind.cloud_fields(x, wx, y, wy), plain.cloud_fields(x, wx, y, wy)):
+    for fast, direct in zip(pair_sum(kind, x, wx, y, wy)[:2], pair_sum(plain, x, wx, y, wy)[:2]):
         assert_oracle_close(fast, direct)
-    assert_oracle_close(kind.self_fields(x, wx), plain.self_fields(x, wx))
-    assert_oracle_close(kind.cloud_fields(x, wx, y, wy, energy=True)[2],
-                        plain.cloud_fields(x, wx, y, wy, energy=True)[2])
-    assert_oracle_close(kind.self_fields(x, wx, energy=True)[1],
-                        plain.self_fields(x, wx, energy=True)[1])
+    assert_oracle_close(pair_sum(kind, x, wx)[0], pair_sum(plain, x, wx)[0])
+    assert_oracle_close(pair_sum(kind, x, wx, y, wy, energy=True)[2],
+                        pair_sum(plain, x, wx, y, wy, energy=True)[2])
+    assert_oracle_close(pair_sum(kind, x, wx, energy=True)[2],
+                        pair_sum(plain, x, wx, energy=True)[2])
 
 
 def clouds(N, offset):
@@ -88,14 +90,14 @@ def test_large_source_clouds_match_direct_at_sampled_targets(kind, offset):
     plain = Plain(kind)
     sample = np.random.default_rng(6).choice(len(x), 150, replace=False)
     xs, ws = x[sample], wx[sample]
-    assert_oracle_close(kind.self_fields(x, wx)[sample], plain.cloud_fields(xs, ws, x, wx)[0])
-    fx, fy = kind.cloud_fields(x, wx, y, wy)
-    assert_oracle_close(fx[sample], plain.cloud_fields(xs, ws, y, wy)[0])
+    assert_oracle_close(pair_sum(kind, x, wx)[0][sample], pair_sum(plain, xs, ws, x, wx)[0])
+    fx, fy, _ = pair_sum(kind, x, wx, y, wy)
+    assert_oracle_close(fx[sample], pair_sum(plain, xs, ws, y, wy)[0])
     ys, wys = y[:150], wy[:150]
-    assert_oracle_close(fy[:150], plain.cloud_fields(ys, wys, x, wx)[0])
+    assert_oracle_close(fy[:150], pair_sum(plain, ys, wys, x, wx)[0])
     for xt, wt in [(xs, ws), (ys, wys)]:
-        assert_oracle_close(kind.cloud_fields(xt, wt, x, wx, energy=True)[2],
-                            plain.cloud_fields(xt, wt, x, wx, energy=True)[2])
+        assert_oracle_close(pair_sum(kind, xt, wt, x, wx, energy=True)[2],
+                            pair_sum(plain, xt, wt, x, wx, energy=True)[2])
 
 
 def test_prefix_sums_keep_the_bound_on_a_fine_grid():
@@ -104,8 +106,8 @@ def test_prefix_sums_keep_the_bound_on_a_fine_grid():
     x, _, _, _ = clouds(100000, 1e3)
     w = np.full(len(x), 1.0 / len(x))
     sample = np.random.default_rng(7).choice(len(x), 50, replace=False)
-    direct = Plain(SMOOTH_TAB).cloud_fields(x[sample], w[sample], x, w)[0]
-    assert_oracle_close(SMOOTH_TAB.self_fields(x, w)[sample], direct)
+    direct = pair_sum(Plain(SMOOTH_TAB), x[sample], w[sample], x, w)[0]
+    assert_oracle_close(pair_sum(SMOOTH_TAB, x, w)[0][sample], direct)
 
 
 @pytest.mark.parametrize("kind", PIECEWISE_KINDS, ids=kind_id)
@@ -113,11 +115,11 @@ def test_tables_are_tiled_like_one_block(monkeypatch, kind):
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.5, (300, 1))
     w = rng.uniform(0.1, 1.0, 300)
-    whole = kind.self_fields(x, w, energy=True)
+    whole = pair_sum(kind, x, w, energy=True)
     # A few targets per tile, so the tables of one sum span many tiles.
     monkeypatch.setattr(engine, "_TILE", 64)
-    assert_oracle_close(kind.self_fields(x, w), whole[0])
-    assert_oracle_close(kind.self_fields(x, w, energy=True)[1], whole[1])
+    assert_oracle_close(pair_sum(kind, x, w)[0], whole[0])
+    assert_oracle_close(pair_sum(kind, x, w, energy=True)[2], whole[2])
 
 
 @pytest.mark.parametrize("kind", PIECEWISE_KINDS, ids=kind_id)
@@ -125,10 +127,10 @@ def test_coincident_points_feel_no_force(kind):
     # Dirac states are steady: their fields vanish exactly, also far out.
     x = np.full((6, 1), 1e3 + 0.1)
     w = np.full(6, 1.0 / 6.0)
-    assert not kind.self_fields(x, w).any()
-    fx, fy = kind.cloud_fields(x, w, x[:3], w[:3])
+    assert not pair_sum(kind, x, w)[0].any()
+    fx, fy, _ = pair_sum(kind, x, w, x[:3], w[:3])
     assert not fx.any() and not fy.any()
-    energy = kind.self_fields(x, w, energy=True)[1]
+    energy = pair_sum(kind, x, w, energy=True)[2]
     assert energy == pytest.approx(kind.value(0.0), rel=1e-15, abs=0.0)
 
 
@@ -152,10 +154,11 @@ def test_sorted_and_shuffled_sources_agree(kind):
     assert len(np.unique(y)) < len(y)
     x = np.concatenate([rng.normal(0.0, 1.2, (25, 1)), y])
     shuffle = rng.permutation(len(y))
-    p = kind._profile
-    # Both outputs of one call: the field sums and the energy sums.
-    for as_sorted, shuffled in zip(p.sums(x, y, w, value=True),
-                                   p.sums(x, y[shuffle], w[shuffle], value=True)):
+    wx = np.ones(len(x))  # E is then the sum over x of its energy sums
+    # Every output of one pass: the fields on both clouds and the energy.
+    fx, fy, e = pair_sum(kind, x, wx, y, w, energy=True)
+    gx, gy, g = pair_sum(kind, x, wx, y[shuffle], w[shuffle], energy=True)
+    for as_sorted, shuffled in [(fx, gx), (fy[shuffle], gy), (e, g)]:
         assert np.abs(as_sorted - shuffled).max() <= 1e-13 * (1.0 + np.abs(shuffled).max())
 
 
@@ -173,38 +176,21 @@ def test_one_dimensional_sums_never_evaluate_pointwise(kind):
     engine.pair_fields(pm, xs, ws, energy=True)
 
 
-@pytest.mark.parametrize("kind, tables",
-                         [(SMOOTH_TAB, 1), (mg.Power(3.0, 0.5), 1), (mg.DoubleWell(0.3, 0.5), 0)],
-                         ids=["Tabulated", "Power3", "DoubleWell"])
-def test_field_and_energy_share_one_moment_table_per_source(monkeypatch, kind, tables):
-    # A self sum builds one prefix table, a cloud sum one per source cloud;
-    # an even profile takes whole-cloud moments and builds none.
-    built = []
-    original = potentials._prefix_sums
-
-    def counted(v):
-        built.append(v.shape)
-        return original(v)
-
-    monkeypatch.setattr(potentials, "_prefix_sums", counted)
-    x, wx, y, wy = clouds(37, 0.0)
-    kind.self_fields(x, wx, energy=True)
-    assert len(built) == tables
-    built.clear()
-    kind.cloud_fields(x, wx, y, wy, energy=True)
-    assert len(built) == 2 * tables
-
-
-@pytest.mark.parametrize("sizes, tables, with_energy",
-                         [((24, 24, 24), [(9, 24)], [(11, 24)]),
-                          ((24, 24, 10), [(6, 24), (3, 10)], [(7, 24), (4, 10)])])
-def test_a_pass_stacks_the_prefix_tables_of_one_size(monkeypatch, sizes, tables, with_energy):
+@pytest.mark.parametrize("cross, own, sizes, tables, with_energy",
+                         [(mg.Power(3.0, 0.5), SMOOTH_TAB, (24, 24, 24), [(9, 24)], [(11, 24)]),
+                          (mg.Power(3.0, 0.5), SMOOTH_TAB, (24, 24, 10), [(6, 24), (3, 10)],
+                           [(7, 24), (4, 10)]),
+                          (mg.DoubleWell(0.3, 0.5), mg.DoubleWell(0.3, 0.5), (24, 24, 24), [],
+                           [])],
+                         ids=["one-size", "two-sizes", "even"])
+def test_a_pass_stacks_the_prefix_tables_of_one_size(monkeypatch, cross, own, sizes, tables,
+                                                     with_energy):
     # A Tabulated self pair reads one table, a Power q = 3 cross pair one per cloud, each
-    # of 3 rows for W' and 4 with W.  A pass takes the prefix sums of each size's tables in
-    # one call, and its fields and energy are the pairs' own sums bit for bit.
-    power = mg.Power(3.0, 0.5)
-    pm = mg.matrix_from_entries([[mg.Zero(), power, mg.Zero()], [None, mg.Zero(), mg.Zero()],
-                                 [None, None, SMOOTH_TAB]], kappa=np.zeros((3, 3)))
+    # of 3 rows for W' and 4 with W; an even profile takes whole-cloud moments and reads
+    # none.  A pass takes the prefix sums of each size's tables in one call, and its fields
+    # and energy are those of each pair's own plan bit for bit.
+    pm = mg.matrix_from_entries([[mg.Zero(), cross, mg.Zero()], [None, mg.Zero(), mg.Zero()],
+                                 [None, None, own]], kappa=np.zeros((3, 3)))
     rng = np.random.default_rng(7)
     xs = [np.sort(rng.normal(0.0, 1.0, (N, 1)), axis=0) for N in sizes]
     ws = [rng.uniform(0.1, 1.0, N) for N in sizes]
@@ -221,8 +207,8 @@ def test_a_pass_stacks_the_prefix_tables_of_one_size(monkeypatch, sizes, tables,
     built.clear()
     fields_e, energy = engine.pair_fields(pm, xs, ws, energy=True)
     assert built == with_energy
-    f0, f1, e01 = power.cloud_fields(xs[0], ws[0], xs[1], ws[1], energy=True)
-    f2, e2 = SMOOTH_TAB.self_fields(xs[2], ws[2], energy=True)
+    f0, f1, e01 = pair_sum(cross, xs[0], ws[0], xs[1], ws[1], energy=True)
+    f2, _, e2 = pair_sum(own, xs[2], ws[2], energy=True)
     for f in (fields, fields_e):
         assert all(np.array_equal(a, b) for a, b in zip(f, (f0, f1, f2)))
     assert energy == float(0.5 * (2.0 * e01 + e2))
@@ -247,7 +233,7 @@ def test_plane_clouds_keep_the_direct_sum(monkeypatch, kind):
     monkeypatch.setattr(type(kind), "_deriv", counted)
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 1.0, (12, 2))
-    kind.self_fields(x, np.full(12, 1.0 / 12.0))
+    pair_sum(kind, x, np.full(12, 1.0 / 12.0))
     assert calls
 
 

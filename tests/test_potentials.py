@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import multiagg as mg
+from conftest import pair_sum
 from multiagg.potentials import (DoubleWell, GaussianAR, Morse, Power, Quadratic,
                                  Tabulated, Zero, estimate_growth_bound, validate)
 
@@ -140,7 +141,7 @@ def test_morse_rejects_an_eps_whose_square_underflows():
     pot = Morse(1.0, 1.0, 0.5, 0.25, eps=2.3e-162)  # eps^2 is the least subnormal
     assert pot.deriv(0.0) == 0.0 and np.isfinite(pot.deriv(1e-300))
     x = np.array([[0.0, 0.0], [1.0, 0.5], [1e-170, 0.0]])
-    assert np.all(np.isfinite(pot.self_fields(x, np.full(3, 1.0 / 3.0))))
+    assert np.all(np.isfinite(pair_sum(pot, x, np.full(3, 1.0 / 3.0))[0]))
 
 
 @pytest.mark.parametrize("knots, values, derivs, interval", [
@@ -176,19 +177,6 @@ def test_tabulated_validation_and_reflection():
     # linear continuation beyond the last knot
     assert tab.deriv(5.0) == target.deriv(3.0)
     assert tab.value(5.0) == pytest.approx(target.value(3.0) + 2.0 * target.deriv(3.0))
-
-
-def test_matrix_eval_symmetry_and_domain_errors(two_species_attractive):
-    pm, _ = two_species_attractive
-    z = 1.3
-    assert pm.eval(0, 1, z) == pm.eval(1, 0, z) == pm.eval(0, 1, -z)
-    assert pm.grad(0, 1, z) == -pm.grad(0, 1, -z)
-    with pytest.raises(ValueError):
-        pm.eval(0, 0, float("nan"))
-    with pytest.raises(ValueError):
-        pm.grad(0, 0, float("inf"))
-    with pytest.raises(IndexError):
-        pm.eval(0, 2, 1.0)
 
 
 def test_matrix_rejects_asymmetric_kappa():

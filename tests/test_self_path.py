@@ -1,10 +1,11 @@
 """The self path of the pairwise engine, the direct tiles, and kernel symmetry.
 
-``self_fields`` sweeps the upper triangle of a cloud in row tiles, field and
+A self pair sweeps the upper triangle of a cloud in row tiles, field and
 energy.  Row tile [k0, k1) is evaluated against x[k0:], so the pairs within
 its own rows are evaluated in both orders and every other pair once.  One
-oracle is the two-sided direct sum ``cloud_fields`` of the cloud against a
-copy of itself, which evaluates every ordered pair.  A naive full-broadcast
+oracle is the two-sided direct cross sum of the cloud against a copy of
+itself, which evaluates every ordered pair.  Every sum goes through
+``engine.pair_fields`` (``conftest.pair_sum``).  A naive full-broadcast
 sum of W'(r) z / r and W(r) over every ordered pair checks the sums in every
 d independently (in d = 1, W'(r) z / r is W'(z)), with the energy that the
 field pass sums on request from the same tiles.  A tile takes its
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagg as mg
+from conftest import pair_sum
 from multiagg import engine
 
 DIRECT_KINDS = [
@@ -50,10 +52,10 @@ def test_self_path_matches_two_sided_direct_sum(monkeypatch, kind, d, N, tile):
         # N > _TILE: every tile before the last 64 rows holds a single row.
         monkeypatch.setattr(engine, "_TILE", tile)
     x, w = cloud(N, d, seed=N + d)
-    direct_f, _ = kind.cloud_fields(x, w, x.copy(), w)
-    direct_e = kind.cloud_fields(x, w, x.copy(), w, energy=True)[2]
-    f = kind.self_fields(x, w)
-    e = kind.self_fields(x, w, energy=True)[1]
+    direct_f = pair_sum(kind, x, w, x.copy(), w)[0]
+    direct_e = pair_sum(kind, x, w, x.copy(), w, energy=True)[2]
+    f = pair_sum(kind, x, w)[0]
+    e = pair_sum(kind, x, w, energy=True)[2]
     assert f.shape == direct_f.shape
     assert np.abs(f - direct_f).max() <= 1e-12 * (1.0 + np.abs(direct_f).max())
     assert abs(e - direct_e) <= 1e-12 * (1.0 + abs(direct_e))
@@ -88,13 +90,13 @@ def test_direct_tiles_match_a_naive_broadcast_sum(monkeypatch, kind, d, offset, 
     x[7] = x[3]  # a repeated point of the self cloud
     y[5] = x[3]  # and a point of the source cloud on it
     x, y = x + offset, y + offset
-    fx, fy = kind.cloud_fields(x, wx, y, wy)
+    fx, fy, _ = pair_sum(kind, x, wx, y, wy)
     assert close(fx, naive_fields(kind, x, y, wy))
     assert close(fy, naive_fields(kind, y, x, wx))
-    assert close(kind.self_fields(x, wx), naive_fields(kind, x, x, wx))
+    assert close(pair_sum(kind, x, wx)[0], naive_fields(kind, x, x, wx))
     # The fused pass: fields and energy from the same tiles.
-    gx, gy, cloud_e = kind.cloud_fields(x, wx, y, wy, energy=True)
-    self_f, self_e = kind.self_fields(x, wx, energy=True)
+    gx, gy, cloud_e = pair_sum(kind, x, wx, y, wy, energy=True)
+    self_f, _, self_e = pair_sum(kind, x, wx, energy=True)
     assert close(gx, naive_fields(kind, x, y, wy))
     assert close(gy, naive_fields(kind, y, x, wx))
     assert close(self_f, naive_fields(kind, x, x, wx))
@@ -119,8 +121,8 @@ def test_self_pairs_add_nothing_in_d_above_one(monkeypatch, kind, d, offset, til
     x, w = cloud(200, d, seed=d + 20)
     x = x + offset
     naive = naive_fields(kind, x, x, w)
-    assert close(kind.self_fields(x, w), naive)
-    f, e = kind.self_fields(x, w, energy=True)
+    assert close(pair_sum(kind, x, w)[0], naive)
+    f, _, e = pair_sum(kind, x, w, energy=True)
     assert close(f, naive)
     naive_e = naive_energy(kind, x, w, x, w)
     assert abs(e - naive_e) <= 1e-12 * (1.0 + abs(naive_e))
@@ -165,9 +167,9 @@ def test_d1_fields_over_signed_zeros_equal_broadcast_sums_bit_for_bit(kind):
     y, wy = x[::-1] * 2.0, w[::-1]
     f = np.zeros_like(x)
     f += kind.deriv(x - x.T) @ w[:, None]
-    assert same_bits(kind.self_fields(x, w), f)
+    assert same_bits(pair_sum(kind, x, w)[0], f)
     K = kind.deriv(x - y.T)
-    fx, fy = kind.cloud_fields(x, w, y, wy)
+    fx, fy, _ = pair_sum(kind, x, w, y, wy)
     assert same_bits(fx, K @ wy[:, None])
     assert same_bits(fy, (np.zeros((1, len(y))) + -w[None, :] @ K).T)
 
@@ -251,7 +253,7 @@ def test_self_field_conserves_weighted_momentum(kind, data, d, N):
     coords = st.floats(-5.0, 5.0)
     x = np.array(data.draw(st.lists(coords, min_size=N * d, max_size=N * d))).reshape(N, d)
     w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N)))
-    f = kind.self_fields(x, w)
+    f = pair_sum(kind, x, w)[0]
     # Roundoff scale: the weighted sum of |grad W| over every ordered pair.
     diff = x[:, None, :] - x[None, :, :]
     scale = w @ np.abs(kind.deriv(np.sqrt((diff * diff).sum(axis=-1)))) @ w

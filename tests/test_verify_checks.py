@@ -8,10 +8,11 @@ bit for bit.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 
-from multiagg import quantile_solver, verify
+from multiagg import cli, quantile_solver, verify
 from multiagg.config import config_from_dict
 from multiagg.convexity import lambda0
 
@@ -47,6 +48,38 @@ def test_dissipation_identity_passes_and_catches_a_scaled_dissipation():
     traj.records = [dataclasses.replace(r, dissipation=1.1 * r.dissipation)
                     for r in traj.records]
     assert verify._dissipation_identity(traj).status == "fail"
+
+
+def test_gradient_consistency_passes_and_catches_scaled_velocities(monkeypatch):
+    cfg = config_from_dict(mixed_config())
+    check = verify._gradient_consistency(cfg)
+    assert check.status == "pass" and check.details["max_relative_error"] < 1e-5
+    # Velocities 0.1% off the energy gradient.
+    velocity = quantile_solver.velocity
+    monkeypatch.setattr(verify.quantile_solver, "velocity",
+                        lambda state, pm: [(1.0 + 1e-3) * v for v in velocity(state, pm)])
+    assert verify._gradient_consistency(cfg).status == "fail"
+
+
+def test_gradient_consistency_skips_a_species_of_one_particle_on_itself(tmp_path):
+    # CI's planar system with a Morse self kernel on a species of one particle: moved,
+    # that particle meets no other of its species, and the empty cloud is left out.
+    config = tmp_path / "lone.json"
+    config.write_text(json.dumps({
+        "params": {"m": [1.0, 0.5], "p": [1.0, 0.8], "d": 2},
+        "potential": {"entries": [
+            [{"kind": "morse", "ca": 1.0, "la": 1.0, "cr": 0.5, "lr": 0.25, "eps": 0.1},
+             {"kind": "quadratic", "a": 0.5}],
+            [{"kind": "quadratic", "a": 0.5}, {"kind": "power", "q": 4.0, "a": 0.1}]],
+            "kappa": [[-5.0, 0.5], [0.5, 0.0]]},
+        "initial": {"type": "particles", "species": [
+            {"x": [[0.0, 0.0]], "mass": [1.0]},
+            {"x": [[0.3, -0.2], [-1.0, 0.4]], "mass": [0.4, 0.4]}]},
+        "solver": {"dt": 0.01, "t_end": 0.5, "record_every": 5}}))
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["gradient_consistency"]["status"] == "pass"
 
 
 def test_contraction_companion_takes_the_main_runs_step():
