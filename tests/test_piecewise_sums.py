@@ -176,6 +176,29 @@ def test_one_dimensional_sums_never_evaluate_pointwise(kind):
     engine.pair_fields(pm, xs, ws, energy=True)
 
 
+@pytest.mark.parametrize("kind, tables",
+                         [(SMOOTH_TAB, 1), (mg.Power(3.0, 0.5), 1), (mg.DoubleWell(0.3, 0.5), 0)],
+                         ids=["Tabulated", "Power3", "DoubleWell"])
+def test_field_and_energy_share_one_moment_table_per_source(monkeypatch, kind, tables):
+    # A self sum builds one prefix table, a cloud sum one per source cloud (the two
+    # clouds differ in size, so each table is its own call); an even profile takes
+    # whole-cloud moments and builds none.
+    built = []
+    original = engine._prefix_sums
+
+    def counted(v):
+        built.append(v.shape)
+        return original(v)
+
+    monkeypatch.setattr(engine, "_prefix_sums", counted)
+    x, wx, y, wy = clouds(37, 0.0)
+    pair_sum(kind, x, wx, energy=True)
+    assert len(built) == tables
+    built.clear()
+    pair_sum(kind, x, wx, y, wy, energy=True)
+    assert len(built) == 2 * tables
+
+
 @pytest.mark.parametrize("cross, own, sizes, tables, with_energy",
                          [(mg.Power(3.0, 0.5), SMOOTH_TAB, (24, 24, 24), [(9, 24)], [(11, 24)]),
                           (mg.Power(3.0, 0.5), SMOOTH_TAB, (24, 24, 10), [(6, 24), (3, 10)],
