@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 from .convexity import (ConvexityReport, SystemParams, analyze_system, confining_check,
                         irreducible, lambda0, necessary_condition)
 from .diagnostics import (DiagnosticsRecord, RateFit, dissipation, energy, fit_decay_rate,
-                          ground_state, steady_state_check, support_and_diameter)
+                          ground_state, support_and_diameter)
 from .errors import ConfigError, NumericsError
 from .measures import (ParticleState, QuantileState, compound_distance, equal_mass_particles,
                        particles_from_quantile, quantile_from_particles,
@@ -29,7 +29,7 @@ from .measures import (ParticleState, QuantileState, compound_distance, equal_ma
 from .potentials import (ConfiningSpec, DoubleWell, GaussianAR, Morse, PotentialMatrix,
                          Power, Quadratic, Tabulated, Zero, estimate_growth_bound,
                          matrix_from_entries, validate)
-from .quantile_solver import SolverConfig, Trajectory, run, stable_dt, step, velocity
+from .quantile_solver import SolverConfig, Trajectory, run, stable_dt, velocity
 
 __all__ = [
     "ConfigError", "ConfiningSpec", "ConvexityReport", "DiagnosticsRecord", "DoubleWell",
@@ -39,6 +39,5 @@ __all__ = [
     "dissipation", "energy", "equal_mass_particles", "estimate_growth_bound", "fit_decay_rate",
     "ground_state", "irreducible", "lambda0", "matrix_from_entries", "necessary_condition",
     "particles_from_quantile", "quantile_from_particles", "run", "stable_dt",
-    "steady_state_check", "step", "support_and_diameter", "validate", "velocity",
-    "weighted_center_of_mass", "winf_distance",
+    "support_and_diameter", "validate", "velocity", "weighted_center_of_mass", "winf_distance",
 ]

@@ -1,10 +1,11 @@
-"""Energy, dissipation, centre, support tracking, decay-rate fits, steady-state tests.
+"""Energy, dissipation, centre, support tracking and decay-rate fits.
 
 Every measure is written once over a state's weighted clouds (``clouds()``),
 so it serves quantile and particle states alike.  Quadratures use the same
 flat midpoint rule over the M equal-mass cells as the solver velocity, so
-a quantile state is diagnosed as steady exactly when the solver would not
-move it.  Energy and force field come from the pairwise engine
+a quantile state's dissipation vanishes exactly when the solver would not
+move it: a run's last record is steady when |dissipation| < tol (1 + |energy|).
+Energy and force field come from the pairwise engine
 (``engine.pair_fields``, one pass of the plan the time loop steps with).  A
 record takes both from one engine pass, and ``energy`` is that pass's
 energy.  Only the support bounds are one-dimensional.
@@ -46,15 +47,6 @@ class RateFit:
     r_squared: float
     window: tuple
     n_points: int
-
-
-@dataclass
-class SteadyStateReport:
-    verdict: bool
-    dissipation: float
-    energy: float
-    residuals: np.ndarray
-    tol: float
 
 
 def energy(state, pm: PotentialMatrix) -> float:
@@ -152,19 +144,3 @@ def record(state, pm: PotentialMatrix, t: float, ground=None, sums=None) -> Diag
         w2_to_ground=None if ground is None else compound_distance(state, ground),
     )
 
-
-def steady_state_check(trajectory, pm: PotentialMatrix, tol: float = 1e-8) -> SteadyStateReport:
-    """Is the final state stationary?
-
-    True iff |dissipation| < tol * (1 + |energy|) at the final time.  Also
-    reports the per-species maximum of the convolved-force residual, using
-    the same quadrature as the solver velocity.
-    """
-    if not trajectory.states:
-        raise ValueError("trajectory is empty")
-    state = trajectory.states[-1]
-    field, en = pair_fields(pm, *state.clouds(), True)
-    residuals = np.array([np.abs(f).max() for f in field])
-    dis = dissipation(state, pm, field)
-    verdict = bool(abs(dis) < tol * (1.0 + abs(en)))
-    return SteadyStateReport(verdict, dis, en, residuals, tol)

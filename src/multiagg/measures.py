@@ -54,9 +54,6 @@ class QuantileState:
     def M(self) -> int:
         return self.u.shape[1]
 
-    def is_monotone(self) -> bool:
-        return bool(np.all(np.diff(self.u, axis=1) >= 0.0))
-
     def clouds(self):
         """The grid as clouds (n, M, 1) of M points of weight p_i / M each."""
         return self.u[:, :, None], np.repeat((self.params.p / self.M)[:, None], self.M, axis=1)

@@ -23,7 +23,7 @@ points, so each RK stage, the finiteness check, the crossing check and the
 sort repair is one numpy call for all species.  It builds a state object
 only for a record, records a ``diagnostics.record`` from that state's
 single engine pass, and returns one ``Trajectory``.  The sort repair applies
-to quantile states only.  ``step`` is a run of one step.
+to quantile states only.  One step is a run to ``t_end = dt``.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ class SolverConfig:
 
 
 @dataclass
-class StepInfo:
-    monotonicity_violated: bool
-    repair_applied: bool
-
-
-@dataclass
 class Trajectory:
     times: list
     states: list
@@ -155,9 +149,10 @@ def _check_records(traj, pm: PotentialMatrix, values: list):
     """Raise NumericsError at the first record of a finished run with a non-finite value.
 
     ``values[k]`` maps the names of record k's values to them.  The witness
-    names t, the quantity and, for a per-species one, the species; for the
-    energy it adds the first pair whose kernel value is not finite (see
-    ``_nonfinite_witness``).  The partial trajectory ends before that record.
+    names t, the quantity and, for a per-species one, the species ``i``, for a
+    d > 1 centre the ``axis``; for the energy it adds the first pair whose
+    kernel value is not finite (see ``_nonfinite_witness``).  The partial
+    trajectory ends before that record.
     """
     for k, (t, named) in enumerate(zip(traj.times, values)):
         for name, value in named.items():
@@ -166,7 +161,7 @@ def _check_records(traj, pm: PotentialMatrix, values: list):
                 continue
             witness = {"t": t, "quantity": name}
             if np.ndim(value):
-                witness["i"] = int(bad[0])
+                witness["axis" if name == "E_invariant" else "i"] = int(bad[0])
             if name == "energy":
                 witness.update(_nonfinite_witness(traj.states[k].clouds()[0], pm, _value_block))
             partial = replace(traj, **{f: v[:k] for f, v in vars(traj).items()
@@ -226,26 +221,6 @@ def _step_schedule(cfg: SolverConfig, dt: float):
         yield t, k % cfg.record_every == 0 or k == total_steps, h
 
 
-def _resolve_dt(state, pm: PotentialMatrix, cfg: SolverConfig) -> float:
-    return cfg.dt if cfg.dt is not None else stable_dt(state, pm, cfg.cfl_safety)
-
-
-def step(state, pm: PotentialMatrix, cfg: SolverConfig, dt: Optional[float] = None):
-    """One explicit step of a quantile or particle state: a ``run`` of that one step.
-
-    Returns the new state and a StepInfo: whether a quantile state's cells
-    crossed and, with repair="sort", were sorted back.  A particle state has
-    no cell order and never reports a crossing.  As in a run, both states'
-    recorded values are checked and a NumericsError carries the partial
-    trajectory.
-    """
-    if dt is None:
-        dt = _resolve_dt(state, pm, cfg)
-    traj = run(state, pm, replace(cfg, dt=dt, t_end=dt, record_every=1))
-    return traj.final_state, StepInfo(traj.monotonicity_violations > 0,
-                                      traj.repair_events > 0)
-
-
 def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     """Integrate a quantile or particle state to t_end, recording states and diagnostics.
 
@@ -259,7 +234,8 @@ def run(state0, pm: PotentialMatrix, cfg: SolverConfig) -> Trajectory:
     NumericsError.  The recorded diagnostics include the compound distance to
     the concentrated state whenever the convexity modulus is positive.
     """
-    traj = Trajectory(times=[], states=[], records=[], dt=_resolve_dt(state0, pm, cfg))
+    dt = cfg.dt if cfg.dt is not None else stable_dt(state0, pm, cfg.cfl_safety)
+    traj = Trajectory(times=[], states=[], records=[], dt=dt)
     positive = lambda0(pm.kappa, state0.params).lambda0 > 0.0
     ground = diagnostics.concentrated(state0) if positive else None
     xs, ws = state0.clouds()

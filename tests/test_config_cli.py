@@ -164,7 +164,7 @@ def test_presets_two_diracs_and_gauss_pair():
     assert np.array_equal(a.initial_quantile.u, b.initial_quantile.u)
     c = config_from_dict(raw, seed=4)
     assert not np.array_equal(a.initial_quantile.u, c.initial_quantile.u)
-    assert a.initial_quantile.is_monotone()
+    assert (np.diff(a.initial_quantile.u, axis=1) >= 0.0).all()
 
 
 def test_quantile_grid_must_be_monotone():

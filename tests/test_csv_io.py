@@ -364,6 +364,19 @@ def test_non_finite_record_carries_the_partial_trajectory():
     assert len(exc.value.partial.states) == len(exc.value.partial.records) == 1
 
 
+def test_non_finite_centre_in_the_plane_names_its_axis():
+    # The weighted centre of two points at y = 1e308 with p / m = 2 overflows on axis 1.
+    pm = mg.matrix_from_entries([[mg.Zero(), mg.Zero()], [None, mg.Zero()]],
+                                kappa=np.zeros((2, 2)))
+    xs = [np.array([[0.0, 1e308], [0.0, 1e308]]), np.zeros((1, 2))]
+    params = mg.SystemParams(m=[0.5, 1.0], p=[1.0, 1.0], E=[0.0, 0.0], d=2)
+    ps = mg.ParticleState(xs, [np.full(2, 0.5), np.ones(1)], params)
+    with pytest.raises(mg.NumericsError) as exc:
+        mg.run(ps, pm, mg.SolverConfig(dt=0.1, t_end=0.1))
+    assert exc.value.witness == {"t": 0.0, "quantity": "E_invariant", "axis": 1}
+    assert exc.value.partial.times == []
+
+
 def test_empty_particle_trajectory_is_refused_before_the_file_opens(tmp_path):
     path = tmp_path / "empty.csv"
     with pytest.raises(ValueError, match="empty particle trajectory"):

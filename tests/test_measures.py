@@ -64,7 +64,7 @@ def test_quantile_from_particles_monotone():
         w = rng.uniform(0.01, 1.0, size=N)
         ps = mg.ParticleState([x], [w], sp([1.0], [float(w.sum())], E=float(x @ w)))
         qs = quantile_from_particles(ps, 16)
-        assert qs.is_monotone()
+        assert (np.diff(qs.u, axis=1) >= 0.0).all()
 
 
 def test_quantile_requires_d1():

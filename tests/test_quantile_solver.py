@@ -4,7 +4,7 @@ import pytest
 import multiagg as mg
 from multiagg import quantile_solver
 from multiagg.measures import cell_midpoints
-from multiagg.quantile_solver import SolverConfig, run, stable_dt, step, velocity
+from multiagg.quantile_solver import SolverConfig, run, stable_dt, velocity
 
 
 def sp(m, p, E=0.0):
@@ -79,9 +79,9 @@ def test_step_zero_velocity_is_fixed_point():
     pm = mg.matrix_from_entries([[mg.Zero()]], kappa=[[0.0]])
     u = np.array([[-1.0, 0.0, 2.0]])
     qs = mg.QuantileState(u, sp([1.0], [1.0], E=1.0 / 3.0))
-    out, info = step(qs, pm, SolverConfig(dt=0.1))
-    assert np.array_equal(out.u, u)
-    assert not info.monotonicity_violated
+    traj = run(qs, pm, SolverConfig(dt=0.1, t_end=0.1))
+    assert np.array_equal(traj.final_state.u, u)
+    assert traj.monotonicity_violations == 0
 
 
 def test_step_euler_linear_contraction_factor():
@@ -89,7 +89,7 @@ def test_step_euler_linear_contraction_factor():
     u = np.array([np.linspace(-1.0, 1.0, 16)])
     qs = mg.QuantileState(u, params)
     dt = 0.125
-    out, _ = step(qs, pm, SolverConfig(dt=dt, scheme="euler"))
+    out = run(qs, pm, SolverConfig(dt=dt, t_end=dt, scheme="euler")).final_state
     assert np.allclose(out.u - u.mean(), (1.0 - dt) * (u - u.mean()), rtol=1e-14)
 
 
@@ -118,13 +118,13 @@ def test_step_reports_and_repairs_crossings():
     k = int(np.argmin(closing))
     assert closing[k] < 0.0
     dt = 1.5 * gaps[k] / (-closing[k])
-    raw, info = step(qs, pm, SolverConfig(dt=dt, scheme="euler", repair="none"))
-    assert info.monotonicity_violated and not info.repair_applied
-    assert not raw.is_monotone()
-    fixed, info2 = step(qs, pm, SolverConfig(dt=dt, scheme="euler", repair="sort"))
-    assert info2.repair_applied
-    assert fixed.is_monotone()
-    assert np.array_equal(fixed.u, np.sort(raw.u, axis=1))
+    raw = run(qs, pm, SolverConfig(dt=dt, t_end=dt, scheme="euler", repair="none"))
+    assert raw.monotonicity_violations > 0 and raw.repair_events == 0
+    assert not (np.diff(raw.final_state.u, axis=1) >= 0.0).all()
+    fixed = run(qs, pm, SolverConfig(dt=dt, t_end=dt, scheme="euler", repair="sort"))
+    assert fixed.repair_events > 0
+    assert (np.diff(fixed.final_state.u, axis=1) >= 0.0).all()
+    assert np.array_equal(fixed.final_state.u, np.sort(raw.final_state.u, axis=1))
 
 
 def test_run_zero_horizon_returns_initial():
@@ -174,13 +174,14 @@ def test_euler_preserves_monotonicity_gap_bound():
     factor = 1.0 - 0.05 * 2.0
     u = np.array([np.linspace(-1.0, 1.0, 16)])
     qs = mg.QuantileState(u, sp([1.0], [1.0]))
-    cfg = SolverConfig(dt=0.05, scheme="euler", repair="none")
+    cfg = SolverConfig(dt=0.05, t_end=0.05, scheme="euler", repair="none")
     for _ in range(40):
         gap_before = np.diff(qs.u, axis=1).min()
-        qs, info = step(qs, pm, cfg)
+        traj = run(qs, pm, cfg)
+        qs = traj.final_state
         gap_after = np.diff(qs.u, axis=1).min()
         assert gap_after >= factor * gap_before - 1e-15
-        assert not info.monotonicity_violated
+        assert traj.monotonicity_violations == 0
 
 
 def test_energy_monotone_along_rk4(two_species_attractive):
