@@ -10,9 +10,10 @@ the monotone pairing being optimal in one dimension.  Conversions between
 the two views are exact for atomic data up to cell resolution.
 
 Trajectories are CSV snapshots, written one whole snapshot per join.  The
-reader parses the body in chunks of _CHUNK rows, keeps each as compact
-columns and scatters them into the grid of all snapshots at the end, so it
-holds about 38 bytes per row at its peak, the 8-byte result included.
+reader parses the body in chunks of _CHUNK rows and scatters each into
+per-snapshot blocks as it is parsed, so it holds about 12 bytes per row at
+its peak, the 8-byte result included, on rows grouped by snapshot as the
+writer leaves them, and at most about 24 in any other order.
 """
 
 from __future__ import annotations
@@ -254,7 +255,11 @@ def read_quantile_csv(path, params: SystemParams):
     u, every row fills them, times are finite, and every snapshot is a full
     (params.n, M) grid, M fixed, that gives no cell twice.  Snapshots are
     the distinct times in order of first appearance; rows may come in any
-    order.  The body is parsed _CHUNK rows at a time; see _snapshots.
+    order.  The body is parsed _CHUNK rows at a time and each chunk is
+    scattered into its snapshots' blocks at once, so a valid trajectory
+    peaks at about 12 bytes per row, the 8-byte result included, when its
+    rows come grouped by snapshot as write_quantile_csv writes them, and at
+    most about 24 in any other order; see _snapshots.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
@@ -262,7 +267,7 @@ def read_quantile_csv(path, params: SystemParams):
         if missing:
             raise ValueError(f"the header lacks column(s) {', '.join(missing)}")
         cols = tuple(header.index(c) for c in _QUANTILE_COLUMNS)
-        return _snapshots(_chunks(fh, cols), params)
+        return _snapshots(fh, cols, params)
 
 
 def _load(fh, cols, max_rows=None):
@@ -275,6 +280,12 @@ def _load(fh, cols, max_rows=None):
         warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
         return np.loadtxt(fh, dtype=_QUANTILE_ROW, delimiter=",", comments=None,
                           quotechar='"', usecols=cols, ndmin=1, max_rows=max_rows)
+
+
+def _rewind(fh):
+    """Put ``fh`` back at the first row after the header."""
+    fh.seek(0)
+    next(csv.reader(fh))
 
 
 def _chunks(fh, cols):
@@ -306,8 +317,7 @@ def _raise_row_error(fh, cols, err):
         float(row[it]), float(row[iu]), int(row[ii]), int(row[ik])
     # Only numpy refuses a row: take its reason from one pass over the whole body, so
     # that the row it names is counted from the first.
-    fh.seek(0)
-    next(csv.reader(fh))
+    _rewind(fh)
     try:
         _load(fh, cols)
     except (ValueError, Warning) as whole:
@@ -315,81 +325,165 @@ def _raise_row_error(fh, cols, err):
     raise ValueError(f"unreadable trajectory: {err}")
 
 
-def _group(chunks):
-    """Number the snapshots and keep each chunk as compact columns; see _snapshots.
+class _Blocks:
+    """Per snapshot, its row count, least and greatest (species, cell), and its block: u
+    and a mask of filled slots, flat (n, cap).
 
-    Returns the times in order of first appearance, per chunk its snapshot
-    ids (int32), (species, cell) pairs and u, and per snapshot its row count
-    and least and greatest (species, cell).
+    A block that a chunk's cells overrun grows to twice its cells, or past
+    the greatest cell if that is more, but its cells per species never
+    exceed twice the rows its snapshot has had, so no index read from the
+    file sizes an allocation.  A row that does not fit yet (a cell past the
+    block, a species outside [0, n), a negative index) is kept in ``late``
+    as compact columns: snapshot ids (int32), (species, cell) and u.
     """
-    ids: dict = {}  # time -> snapshot id
-    kept = []
-    count = np.zeros(0, np.int64)
-    lo = np.zeros((0, 2), np.int64)
-    hi = np.zeros((0, 2), np.int64)
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ids: dict = {}  # time -> snapshot id
+        self.count = np.zeros(0, np.int64)
+        self.cap = np.zeros(0, np.int64)
+        self.lo = np.zeros((0, 2), np.int64)
+        self.hi = np.zeros((0, 2), np.int64)
+        self.u, self.filled, self.late = [], [], []
+
+    def add(self, rows):
+        """Number, count and scatter one parsed chunk, with Python-level work per distinct
+        snapshot in it."""
+        t = rows["t"]
+        # The chunk's snapshots, numbered in order of first row: runs of one time, then
+        # their distinct times.
+        start = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        _, first, run = np.unique(t[start], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ids = self.ids
+        snap = np.array([ids.setdefault(x, len(ids)) for x in t[start[first[order]]].tolist()],
+                        np.int64)
+        local = np.empty_like(order)
+        local[order] = np.arange(order.size)
+        local = np.repeat(local[run], np.diff(np.r_[start, t.size]))
+        sp, cell, u = rows["species"], rows["cell"], rows["u"]
+        if np.any(local[1:] < local[:-1]):
+            by = np.argsort(local)
+            local, sp, cell, u = local[by], sp[by], cell[by], u[by]
+
+        new = len(ids) - self.count.size
+        self.count = np.concatenate([self.count, np.zeros(new, np.int64)])
+        self.cap = np.concatenate([self.cap, np.zeros(new, np.int64)])
+        self.lo = np.concatenate([self.lo, np.full((new, 2), np.iinfo(np.int64).max, np.int64)])
+        self.hi = np.concatenate([self.hi, np.full((new, 2), np.iinfo(np.int64).min, np.int64)])
+        self.u += [np.zeros(0)] * new
+        self.filled += [np.zeros(0, bool)] * new
+        bounds = np.searchsorted(local, np.arange(snap.size + 1))
+        self.count[snap] += np.diff(bounds)
+        for j, column in enumerate((sp, cell)):
+            self.lo[snap, j] = np.minimum(self.lo[snap, j],
+                                          np.minimum.reduceat(column, bounds[:-1]))
+            self.hi[snap, j] = np.maximum(self.hi[snap, j],
+                                          np.maximum.reduceat(column, bounds[:-1]))
+
+        old, most = self.cap[snap], self.hi[snap, 1]
+        cap = np.where(most < old, old,
+                       np.minimum(np.maximum(most, 2 * old - 1), 2 * self.count[snap] - 1) + 1)
+        for s, a, z in zip(*(x[cap > old].tolist() for x in (snap, old, cap))):
+            self.widen(s, a, z)
+        width = cap[local]
+        snap = snap[local]
+        fit = (sp >= 0) & (sp < self.n) & (cell >= 0) & (cell < width)
+        if not fit.all():
+            out = ~fit
+            self.late.append((snap[out].astype(np.int32), np.stack([sp[out], cell[out]], axis=1),
+                              u[out]))
+            snap, sp, cell, u, width = snap[fit], sp[fit], cell[fit], u[fit], width[fit]
+        self.fill(snap, sp * width + cell, u)
+
+    def widen(self, s, old, new):
+        """Give block ``s`` new >= old cells per species, the first old of them kept."""
+        for arrays in (self.u, self.filled):
+            wide = np.zeros(self.n * new, arrays[s].dtype)
+            if old:
+                wide.reshape(self.n, new)[:, :old] = arrays[s].reshape(self.n, old)
+            arrays[s] = wide
+        self.cap[s] = new
+
+    def fill(self, snap, at, u):
+        """Set the slots ``at`` of the blocks ``snap``, rows grouped by snapshot, to ``u``."""
+        if not snap.size:
+            return
+        start = np.flatnonzero(np.r_[True, snap[1:] != snap[:-1]])
+        for s, a, z in zip(snap[start].tolist(), start.tolist(),
+                           np.r_[start[1:], snap.size].tolist()):
+            self.u[s][at[a:z]] = u[a:z]
+            self.filled[s][at[a:z]] = True
+
+    def place_late(self, good):
+        """Every late row of the snapshots before ``good`` in its block.
+
+        Each of them is a full (n, M) grid, and its last chunk took its count
+        to n M >= M, so its block has at least the M cells its rows need.
+        """
+        while self.late:
+            snap, ik, u = self.late.pop()
+            keep = snap < good
+            snap, ik = snap[keep], ik[keep]
+            self.fill(snap, ik[:, 0] * self.cap[snap] + ik[:, 1], u[keep])
+
+
+def _snapshots(fh, cols, params: SystemParams):
+    """Read the body that follows in ``fh`` into snapshots and check each grid; see
+    read_quantile_csv.
+
+    Each parsed chunk is grouped by snapshot and scattered into its blocks at
+    once (see _Blocks); the rows that did not fit are placed after the last.
+    The shape checks run on the per-snapshot counts and extremes.  In the
+    snapshots before the first that fails them, a slot left unfilled marks a
+    repeat.  A block keeps one row per slot, so the body is parsed again for
+    the first bad snapshot's rows alone, to name its fault.
+    """
+    n = params.n
+    blocks = _Blocks(n)
+    chunks = _chunks(fh, cols)
     for rows in chunks:
         t = rows["t"]
         if not np.all(np.isfinite(t)):
             for _ in chunks:  # a parse error further on comes first
                 pass
             raise ValueError(f"snapshot t={float(t[~np.isfinite(t)][0])!r}: times must be finite")
-        start = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])  # runs of one time
-        length = np.diff(np.r_[start, t.size])
-        run = np.array([ids.setdefault(x, len(ids)) for x in t[start].tolist()], np.int32)
-        new = len(ids) - count.size
-        count = np.concatenate([count, np.zeros(new, np.int64)])
-        lo = np.concatenate([lo, np.full((new, 2), np.iinfo(np.int64).max, np.int64)])
-        hi = np.concatenate([hi, np.full((new, 2), np.iinfo(np.int64).min, np.int64)])
-        ik = np.stack([rows["species"], rows["cell"]], axis=1)
-        np.add.at(count, run, length)
-        np.minimum.at(lo, run, np.minimum.reduceat(ik, start))
-        np.maximum.at(hi, run, np.maximum.reduceat(ik, start))
-        kept.append((np.repeat(run, length), ik, rows["u"].copy()))
-    if not ids:
+        blocks.add(rows)
+    if not blocks.ids:
         raise ValueError("the trajectory holds no snapshot")
-    return list(ids), kept, count, lo, hi
 
-
-def _snapshots(chunks, params: SystemParams):
-    """Group parsed rows into snapshots and check each grid; see read_quantile_csv.
-
-    The shape checks run on the per-snapshot counts and extremes.  The
-    snapshots before the first that fails them are scattered into one grid,
-    where a slot left unfilled marks a repeat; only the first bad snapshot's
-    rows are searched to name its fault.
-    """
-    times, kept, count, lo, hi = _group(chunks)
-    n, M = (hi + 1).T
-    incomplete = (count != n * M) | np.any(lo < 0, axis=1)
-    misshapen = (n != params.n) | (M != M[0])
+    times, count = list(blocks.ids), blocks.count
+    n_of, M = (blocks.hi + 1).T
+    incomplete = (count != n_of * M) | np.any(blocks.lo < 0, axis=1)
+    misshapen = (n_of != n) | (M != M[0])
     flawed = np.flatnonzero(incomplete | misshapen)
     good = int(flawed[0]) if flawed.size else len(times)  # snapshots before the first flaw
-
     M0 = int(M[0])
-    size = params.n * M0
-    grid = np.empty(good * size)
-    filled = np.zeros(good * size, bool)
-    for snap, ik, u in kept:
-        if good < len(times):
-            keep = snap < good
-            snap, ik, u = snap[keep], ik[keep], u[keep]
-        at = np.multiply(snap, size, dtype=np.int64)
-        at += ik[:, 0] * M0
-        at += ik[:, 1]
-        grid[at] = u
-        filled[at] = True
-    b = good if filled.all() else int(filled.argmin()) // size  # the first bad snapshot
-    # A non-finite u before the first bad snapshot is reported before its fault.
-    bad = np.flatnonzero(~np.isfinite(grid[:b * size]))
-    if bad.size:
-        s, i, k = np.unravel_index(bad[0], (b, params.n, M0))
-        raise ValueError(f"snapshot t={times[s]!r}: species {i} cell {k} is not finite")
-    states = [QuantileState(grid[s * size:(s + 1) * size].reshape(params.n, M0), params)
-              for s in range(b)]
+    blocks.place_late(good)
+
+    states = []
+    b = good  # the first bad snapshot
+    for s in range(good):
+        w = int(blocks.cap[s])
+        if not blocks.filled[s].reshape(n, w)[:, :M0].all():
+            b = s
+            break
+        u = blocks.u[s].reshape(n, w)[:, :M0]
+        finite = np.isfinite(u)
+        if not finite.all():
+            # A non-finite u before the first bad snapshot is reported before its fault.
+            i, k = np.unravel_index(np.argmin(finite), u.shape)
+            raise ValueError(f"snapshot t={times[s]!r}: species {i} cell {k} is not finite")
+        states.append(QuantileState(np.ascontiguousarray(u), params))
+        blocks.u[s] = blocks.filled[s] = None
     if b < len(times):
-        pairs, repeats = np.unique(np.concatenate([ik[snap == b] for snap, ik, _ in kept]),
-                                   axis=0, return_counts=True)
-        t_b, n_b, M_b = times[b], int(n[b]), int(M[b])
+        del blocks
+        t_b, n_b, M_b = times[b], int(n_of[b]), int(M[b])
+        _rewind(fh)
+        pairs, repeats = np.unique(
+            np.concatenate([np.stack([rows["species"], rows["cell"]], axis=1)[rows["t"] == t_b]
+                            for rows in _chunks(fh, cols)]),
+            axis=0, return_counts=True)
         if np.any(repeats > 1):
             i, k = pairs[np.argmax(repeats > 1)]
             raise ValueError(f"snapshot t={t_b!r} repeats species {int(i)} cell {int(k)}")
@@ -397,7 +491,7 @@ def _snapshots(chunks, params: SystemParams):
             raise ValueError(
                 f"snapshot t={t_b!r} is incomplete: {int(count[b])} of {n_b}x{M_b} values")
         raise ValueError(f"snapshot t={t_b!r} is a {n_b}x{M_b} grid, "
-                         f"expected {params.n}x{M0}")
+                         f"expected {n}x{M0}")
     return times, states
 
 

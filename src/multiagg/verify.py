@@ -217,17 +217,18 @@ def _ground_state(cfg, traj, modulus) -> CheckResult:
                        details={"winf_to_ground": winf, "tolerance": 1e-3})
 
 
-def _cross_energy(pot, x, wx, y, wy) -> float:
-    """sum_kl wx_k wy_l W(x_k - y_l) of one kernel between two clouds: the pass energy of
-    the species [x, y] under the kernels [[0, W], [W, 0]], (1/2)(2 E) = E exactly."""
+def _cross_plan(pot, wx, wy, d):
+    """The plan of one kernel between clouds of weights wx and wy: the species [x, y] under
+    the kernels [[0, W], [W, 0]], whose pass energy (1/2)(2 E) is
+    E = sum_kl wx_k wy_l W(x_k - y_l) exactly."""
     pm = PotentialMatrix(((Zero(), pot), (pot, Zero())), np.zeros((2, 2)))
-    return engine.pair_fields(pm, [x, y], [wx, wy], energy=True)[1]
+    return engine.InteractionPlan(pm, [wx, wy], d)
 
 
 def _gradient_consistency(cfg) -> CheckResult:
     """The engine's field against central differences of the energy in the moved
-    particle's interactions: the ``_cross_energy`` of {x_k +- h e_a} against each
-    species, without particle k."""
+    particle's interactions: the cross energy of {x_k +- h e_a} against each species,
+    without particle k, through one ``_cross_plan`` per moved particle and kernel."""
     ps = cfg.initial_particles
     if ps is None:
         return CheckResult("gradient_consistency", "skipped", "no particle representation")
@@ -235,20 +236,22 @@ def _gradient_consistency(cfg) -> CheckResult:
     h = 1e-6
     worst = 0.0
     scale = max(float(np.abs(v).max()) for v in vel) or 1.0
+    d = ps.params.d
     for i in range(ps.n):
         x, w = ps.positions[i], ps.masses[i]
         for k in range(min(len(x), 4)):
             others = [(np.delete(y, k, axis=0), np.delete(wy, k)) if j == i else (y, wy)
                       for j, (y, wy) in enumerate(zip(ps.positions, ps.masses))]
-            pairs = [(pot, y, wy) for pot, (y, wy) in zip(cfg.potential.entries[i], others)
+            plans = [(_cross_plan(pot, w[k:k + 1], wy, d), y)
+                     for pot, (y, wy) in zip(cfg.potential.entries[i], others)
                      if len(y) and not pot.is_identically_zero()]
-            for axis in range(ps.params.d):
+            for axis in range(d):
                 plus, minus = x[k:k + 1].copy(), x[k:k + 1].copy()
                 plus[0, axis] += h
                 minus[0, axis] -= h
-                rise = sum(_cross_energy(pot, plus, w[k:k + 1], y, wy)
-                           - _cross_energy(pot, minus, w[k:k + 1], y, wy)
-                           for pot, y, wy in pairs)
+                rise = sum(plan.fields(np.concatenate([plus, y]), energy=True)[1]
+                           - plan.fields(np.concatenate([minus, y]), energy=True)[1]
+                           for plan, y in plans)
                 expected = -ps.params.m[i] / w[k] * (rise / (2.0 * h))
                 worst = max(worst, abs(vel[i][k, axis] - expected) / scale)
     status = "pass" if worst <= 1e-5 else "fail"

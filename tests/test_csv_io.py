@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 import re
 import tempfile
 import tracemalloc
@@ -238,6 +239,15 @@ def test_reader_outcomes(tmp_path, chunk, body, want):
     assert np.array([qs.u for qs in states]).tobytes() == np.array(want[1]).tobytes()
 
 
+def test_reader_refuses_a_grid_past_int64_from_the_counts(tmp_path, chunk):
+    # 2 x (2**62 + 1) cells overflow an int64 slot index; the grid is refused, not indexed.
+    path = tmp_path / "traj.csv"
+    path.write_text("t,species,cell,u\r\n0.5,0,4611686018427387904,1.0\r\n", newline="")
+    with pytest.raises(ValueError, match=re.escape(
+            "snapshot t=0.5 is incomplete: 1 of 1x4611686018427387905 values")):
+        read_quantile_csv(path, pair_params())
+
+
 def test_reader_rejects_non_finite_times(tmp_path, chunk):
     one = mg.SystemParams(m=[1.0], p=[1.0], E=[0.0])
     path = tmp_path / "traj.csv"
@@ -274,22 +284,55 @@ def test_reader_ends_on_a_full_chunk(tmp_path, chunk):
     assert all(np.array_equal(a.u, b.u) for a, b in zip(got, states))
 
 
-def test_reader_peak_memory_per_row(tmp_path):
-    # 100 snapshots of 2 species on 1024 cells: 204,800 rows.  Parsing the whole body at
-    # once held 88 bytes per row at the peak; the chunked reader stays under 40, the
-    # 8-byte result included.
+def large_trajectory(tmp_path):
+    """100 snapshots of 2 species on 1024 cells, 204,800 rows, as written."""
     params = pair_params()
     rng = np.random.default_rng(6)
     states = [mg.QuantileState(rng.normal(size=(2, 1024)), params) for _ in range(100)]
     path = tmp_path / "traj.csv"
     write_quantile_csv(path, [0.01 * s for s in range(100)], states)
-    del states
+    return path
+
+
+def traced_read(path):
+    """read_quantile_csv's result and its traced peak in bytes."""
     tracemalloc.start()
     try:
-        read_quantile_csv(path, params)
-        peak = tracemalloc.get_traced_memory()[1]
+        got = read_quantile_csv(path, pair_params())
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reader_peak_memory_per_row(tmp_path):
+    # Parsing the whole body at once held 88 bytes per row at the peak, and keeping every
+    # chunk as compact columns until the end about 38; scattering each chunk into its
+    # snapshots as it is parsed stays under 16, the 8-byte result included.
+    _, peak = traced_read(large_trajectory(tmp_path))
+    assert peak <= 16 * 204_800
+
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed"])
+def test_reader_row_order_at_scale(tmp_path, order):
+    # Each snapshot's rows after its first moved to the end in seeded random order, as
+    # CI shuffles them, or each snapshot's rows reversed, so that its first row holds its
+    # largest cell: both read as the file written, within 40 bytes per row.
+    path = large_trajectory(tmp_path)
+    want = read_quantile_csv(path, pair_params())
+    header, *rows = path.read_text().splitlines(keepends=True)
+    by_time: dict = {}
+    for row in rows:
+        by_time.setdefault(row.split(",", 1)[0], []).append(row)
+    if order == "shuffled":
+        rest = [row for block in by_time.values() for row in block[1:]]
+        random.Random(23).shuffle(rest)
+        rows = [block[0] for block in by_time.values()] + rest
+    else:
+        rows = [row for block in by_time.values() for row in block[::-1]]
+    path.write_text(header + "".join(rows))
+    (times, states), peak = traced_read(path)
+    assert np.array(times).tobytes() == np.array(want[0]).tobytes()
+    assert all(a.u.tobytes() == b.u.tobytes() for a, b in zip(states, want[1]))
     assert peak <= 40 * 204_800
 
 
