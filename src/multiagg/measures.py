@@ -352,7 +352,7 @@ class _Blocks:
         t = rows["t"]
         # The chunk's snapshots, numbered in order of first row: runs of one time, then
         # their distinct times.
-        start = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
         _, first, run = np.unique(t[start], return_index=True, return_inverse=True)
         order = np.argsort(first)
         ids = self.ids
@@ -360,7 +360,7 @@ class _Blocks:
                         np.int64)
         local = np.empty_like(order)
         local[order] = np.arange(order.size)
-        local = np.repeat(local[run], np.diff(np.r_[start, t.size]))
+        local = np.repeat(local[run], np.diff(np.append(start, t.size)))
         sp, cell, u = rows["species"], rows["cell"], rows["u"]
         if np.any(local[1:] < local[:-1]):
             by = np.argsort(local)
@@ -387,14 +387,16 @@ class _Blocks:
         for s, a, z in zip(*(x[cap > old].tolist() for x in (snap, old, cap))):
             self.widen(s, a, z)
         width = cap[local]
-        snap = snap[local]
-        fit = (sp >= 0) & (sp < self.n) & (cell >= 0) & (cell < width)
-        if not fit.all():
+        # A snapshot whose extremes lie in its block has every row there.
+        if not np.all((self.lo[snap] >= 0).all(axis=1) & (self.hi[snap, 0] < self.n)
+                      & (most < cap)):
+            fit = (sp >= 0) & (sp < self.n) & (cell >= 0) & (cell < width)
             out = ~fit
-            self.late.append((snap[out].astype(np.int32), np.stack([sp[out], cell[out]], axis=1),
-                              u[out]))
-            snap, sp, cell, u, width = snap[fit], sp[fit], cell[fit], u[fit], width[fit]
-        self.fill(snap, sp * width + cell, u)
+            self.late.append((snap[local[out]].astype(np.int32),
+                              np.stack([sp[out], cell[out]], axis=1), u[out]))
+            local, sp, cell, u, width = local[fit], sp[fit], cell[fit], u[fit], width[fit]
+            bounds = np.searchsorted(local, np.arange(snap.size + 1))
+        self.fill(snap, bounds, sp * width + cell, u)
 
     def widen(self, s, old, new):
         """Give block ``s`` new >= old cells per species, the first old of them kept."""
@@ -405,13 +407,9 @@ class _Blocks:
             arrays[s] = wide
         self.cap[s] = new
 
-    def fill(self, snap, at, u):
-        """Set the slots ``at`` of the blocks ``snap``, rows grouped by snapshot, to ``u``."""
-        if not snap.size:
-            return
-        start = np.flatnonzero(np.r_[True, snap[1:] != snap[:-1]])
-        for s, a, z in zip(snap[start].tolist(), start.tolist(),
-                           np.r_[start[1:], snap.size].tolist()):
+    def fill(self, snap, bounds, at, u):
+        """Set the slots at[bounds[g]:bounds[g + 1]] of block snap[g] to the same rows of u."""
+        for s, a, z in zip(snap.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
             self.u[s][at[a:z]] = u[a:z]
             self.filled[s][at[a:z]] = True
 
@@ -424,8 +422,11 @@ class _Blocks:
         while self.late:
             snap, ik, u = self.late.pop()
             keep = snap < good
-            snap, ik = snap[keep], ik[keep]
-            self.fill(snap, ik[:, 0] * self.cap[snap] + ik[:, 1], u[keep])
+            if keep.any():
+                snap, ik, u = snap[keep], ik[keep], u[keep]
+                start = np.flatnonzero(np.concatenate(([True], snap[1:] != snap[:-1])))
+                self.fill(snap[start], np.append(start, snap.size),
+                          ik[:, 0] * self.cap[snap] + ik[:, 1], u)
 
 
 def _snapshots(fh, cols, params: SystemParams):
