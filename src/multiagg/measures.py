@@ -387,7 +387,7 @@ class _Blocks:
         for s, a, z in zip(*(x[cap > old].tolist() for x in (snap, old, cap))):
             self.widen(s, a, z)
         width = cap[local]
-        # A snapshot whose extremes lie in its block has every row there.
+        # Where every snapshot's extremes lie in its block, so does every row.
         if not np.all((self.lo[snap] >= 0).all(axis=1) & (self.hi[snap, 0] < self.n)
                       & (most < cap)):
             fit = (sp >= 0) & (sp < self.n) & (cell >= 0) & (cell < width)
